@@ -29,16 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import Snapshot, naive_coupled_step, run_coupled, state_distance
-from .errors import (
-    AdmissibilityError,
-    BlnError,
-    CflError,
-    ConeError,
-    ConfigError,
-    ConvergenceError,
-    GridMismatchError,
-)
+from .coupling import run_coupled, state_distance
+from .errors import SOLVER_ERRORS, ConfigError
 from .experiments import (
     ScenarioConfig,
     build_coupled_initial,
@@ -55,15 +47,6 @@ from .velocity import (
     indicator_cell_average,
     indicator_cell_flux,
     maxwellian,
-)
-
-SOLVER_ERRORS = (
-    ConvergenceError,
-    ConeError,
-    BlnError,
-    CflError,
-    AdmissibilityError,
-    GridMismatchError,
 )
 
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
@@ -225,7 +208,18 @@ def _run_march(raw: dict, out: Path, mode: str) -> list[str]:
     params = coupling_params_of(cfg)
     dt, n_steps = scenario_dt(cfg)
     log_every = int(raw.get("log_every", 0))
-    final, snaps = run_coupled(state, dt, n_steps, params, mode=mode, log_every=log_every)
+    try:
+        final, snaps = run_coupled(state, dt, n_steps, params, mode=mode, log_every=log_every)
+    except SOLVER_ERRORS as exc:
+        # write what the march reached; main then marks the manifest FAILED
+        prefix = exc.march_prefix
+        failure = {"failed_step": prefix.failed_step, "failed_time": prefix.failed_time}
+        _write_march(out, mode, dt, n_steps, prefix.state, prefix.snapshots, failure)
+        raise
+    return _write_march(out, mode, dt, n_steps, final, snaps, {})
+
+
+def _write_march(out: Path, mode: str, dt: float, n_steps: int, final, snaps, extra: dict) -> list[str]:
     _write_csv(out / "interface_log.csv", _INTERFACE_HEADER, _interface_rows(final.trace_log))
     _write_csv(
         out / "kinetic_final.csv",
@@ -247,6 +241,7 @@ def _run_march(raw: dict, out: Path, mode: str) -> list[str]:
         ),
         "fluid_mass": float(final.fluid.grid.dx * final.fluid.values.sum()),
         "snapshots": len(snaps),
+        **extra,
     }
     defects = [r.interface_defect for r in final.trace_log if not np.isnan(r.interface_defect)]
     if defects:
@@ -296,42 +291,28 @@ def _cmd_stability(raw: dict, out: Path) -> list[str]:
     return ["report.json", "distances.csv"]
 
 
-def _snapshot_of(state) -> Snapshot:
-    return Snapshot(
-        state.kinetic.time,
-        state.kinetic.values.copy(),
-        state.fluid.values.copy(),
-        state.kinetic.space.dx * state.kinetic.velocity.dxi,
-        state.fluid.grid.dx,
-    )
-
-
 def _cmd_compare(raw: dict, out: Path) -> list[str]:
     cfg = scenario_from(raw)
     params = coupling_params_of(cfg)
     dt, n_steps = scenario_dt(cfg)
     log_every = int(raw.get("log_every", max(1, n_steps // 50)))
-    lim_final, lim_snaps = run_coupled(
-        build_coupled_initial(cfg), dt, n_steps, params, mode="limit", log_every=log_every
-    )
+
+    def march(mode: str):
+        return run_coupled(build_coupled_initial(cfg), dt, n_steps, params, mode=mode, log_every=log_every)
+
+    lim_final, lim_snaps = march("limit")
     # The naive exchange can blow up in finite time (the boundary flux
-    # over-determines an outflow interface), so march it locally and keep
-    # whatever prefix of the trajectory exists.
-    nav_state = build_coupled_initial(cfg)
-    nav_snaps = [_snapshot_of(nav_state)]
-    naive_error = ""
+    # over-determines an outflow interface), so compare whatever prefix of
+    # its trajectory exists.
+    naive_error = None
     naive_time_reached = n_steps * dt
-    naive_failed = False
-    for step in range(n_steps):
-        try:
-            nav_state = naive_coupled_step(nav_state, dt)
-        except SOLVER_ERRORS as exc:
-            naive_failed = True
-            naive_time_reached = step * dt
-            naive_error = f"{type(exc).__name__}: {exc}"
-            break
-        if (step + 1) % log_every == 0 or step + 1 == n_steps:
-            nav_snaps.append(_snapshot_of(nav_state))
+    try:
+        nav_final, nav_snaps = march("naive")
+    except SOLVER_ERRORS as exc:
+        nav_snaps = exc.march_prefix.snapshots
+        naive_time_reached = exc.march_prefix.failed_time
+        naive_error = f"{type(exc).__name__}: {exc}"
+    naive_failed = naive_error is not None
     rows = []
     for a, b in zip(lim_snaps, nav_snaps):
         dist = (
@@ -349,7 +330,7 @@ def _cmd_compare(raw: dict, out: Path) -> list[str]:
         final_dist = rows[-1][1] if rows else float("nan")
         agrees = False
     else:
-        final_dist = state_distance(lim_final, nav_state)
+        final_dist = state_distance(lim_final, nav_final)
         agrees = final_dist <= 10.0 * tol_iface
     summary = {
         "final_distance": final_dist,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConeError
+from .errors import SOLVER_ERRORS, ConeError
 from .fluid import (
     FluidField,
     boundary_trace,
@@ -50,7 +50,7 @@ from .milne import (
     relaxation_layer_profile,
     solve_layer,
 )
-from .velocity import DiscreteDistribution, flux_moment, maxwellian_values
+from .velocity import flux_moment, maxwellian_values
 
 __all__ = [
     "CouplingParams",
@@ -59,6 +59,7 @@ __all__ = [
     "coupled_step",
     "naive_coupled_step",
     "run_coupled",
+    "MarchPrefix",
     "Snapshot",
     "ContractionReport",
     "contraction_check",
@@ -75,10 +76,6 @@ class CouplingParams:
     tol_class: float = 1e-8
     warm_start: bool = True
     cone_defect_tol: float | None = None   # default: largest flux the velocity interval carries
-
-    @staticmethod
-    def default(half_width: float = 1.0) -> "CouplingParams":
-        return CouplingParams(layer_grid=LayerGrid(20.0, 400), cone_defect_tol=0.5 * half_width**2)
 
 
 @dataclass
@@ -243,6 +240,16 @@ class Snapshot:
     fluid_measure: float       # dx of the fluid grid
 
 
+@dataclass
+class MarchPrefix:
+    """What a run_coupled march had reached when one of its steps raised."""
+
+    state: CoupledState        # last good state, with its interface log
+    snapshots: list[Snapshot]
+    failed_step: int           # index of the step that raised, counted from 0
+    failed_time: float         # start time of that step, failed_step * dt
+
+
 def run_coupled(
     state: CoupledState,
     dt: float,
@@ -251,7 +258,11 @@ def run_coupled(
     mode: str = "limit",
     log_every: int = 0,
 ) -> tuple[CoupledState, list[Snapshot]]:
-    """March n_steps in the requested mode, optionally recording snapshots."""
+    """March n_steps in the requested mode, optionally recording snapshots.
+
+    A solver error raised by a step propagates unchanged, carrying the march
+    up to that step as its march_prefix attribute (a MarchPrefix).
+    """
     if mode not in ("limit", "naive"):
         raise ValueError(f"mode must be 'limit' or 'naive', got {mode!r}")
     snapshots: list[Snapshot] = []
@@ -270,7 +281,11 @@ def run_coupled(
     if log_every:
         record(state)
     for n in range(n_steps):
-        state = coupled_step(state, dt, params) if mode == "limit" else naive_coupled_step(state, dt)
+        try:
+            state = coupled_step(state, dt, params) if mode == "limit" else naive_coupled_step(state, dt)
+        except SOLVER_ERRORS as exc:
+            exc.march_prefix = MarchPrefix(state, snapshots, n, n * dt)
+            raise
         if log_every and ((n + 1) % log_every == 0 or n + 1 == n_steps):
             record(state)
     return state, snapshots

@@ -35,3 +35,14 @@ class ConfigError(ValueError):
     def __init__(self, items: list[str]):
         super().__init__("; ".join(items))
         self.items = list(items)
+
+
+# Failures of a numerical step, as opposed to bad configuration.
+SOLVER_ERRORS = (
+    ConvergenceError,
+    ConeError,
+    BlnError,
+    CflError,
+    AdmissibilityError,
+    GridMismatchError,
+)

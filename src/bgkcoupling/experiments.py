@@ -42,7 +42,6 @@ __all__ = [
     "ScenarioConfig",
     "FullRunResult",
     "ConvergenceReport",
-    "velocity_grid_of",
     "build_full_initial",
     "build_coupled_initial",
     "coupling_params_of",
@@ -154,10 +153,6 @@ class ScenarioConfig:
         if self.scenario == "relaxation":
             return self.u_plus / 2.0 if self.relax_right is None else self.relax_right
         return -self.u_plus
-
-
-def velocity_grid_of(config: ScenarioConfig) -> VelocityGrid:
-    return config.velocity_grid()
 
 
 def scenario_dt(config: ScenarioConfig, scale: int = 1) -> tuple[float, int]:

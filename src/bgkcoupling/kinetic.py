@@ -20,6 +20,7 @@ from .velocity import (
     VelocityGrid,
     check_admissible,
     maxwellian_table,
+    maxwellian_values,
 )
 
 __all__ = [
@@ -295,7 +296,7 @@ def duhamel_trace_oracle(
         k = int(round((s - times[0]) / (times[1] - times[0]))) if len(times) > 1 else 0
         k = min(max(k, 0), len(times) - 1)
         u = history.u[k, sgrid.cell_of(x)]
-        return _maxwellian_scalar(u, vgrid, j)
+        return float(maxwellian_values(u, vgrid)[j])
 
     out = np.zeros(vgrid.n_cells)
     pos_idx = np.nonzero(vgrid.positive)[0]
@@ -328,10 +329,3 @@ def _cell_of_xi(grid: VelocityGrid, xi: float) -> int:
     j = int(np.floor((xi + grid.half_width) / grid.dxi))
     return min(max(j, 0), grid.n_cells - 1)
 
-
-def _maxwellian_scalar(u: float, grid: VelocityGrid, j: int) -> float:
-    le = grid.edges[j]
-    re = grid.edges[j + 1]
-    if grid.centers[j] > 0:
-        return float(np.clip((u - le) / grid.dxi, 0.0, 1.0))
-    return float(-np.clip((re - u) / grid.dxi, 0.0, 1.0))

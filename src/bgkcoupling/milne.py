@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,9 +116,6 @@ class LayerProfile:
     last_change: float = float("nan")
     min_increment: float = float("nan")   # most negative pointwise step over the monotone run
 
-    def slice_at(self, k: int) -> DiscreteDistribution:
-        return DiscreteDistribution(self.velocity, self.values[k].copy())
-
     def flux_profile(self) -> np.ndarray:
         """Midpoint first moment at every node; constant in y up to quadrature."""
         return self.velocity.dxi * self.values @ self.velocity.centers
@@ -172,16 +170,10 @@ class _SweepWeights:
         self.w_near_neg = a_neg - self.w_far_neg
 
 
-_weights_cache: dict[tuple, _SweepWeights] = {}
-
-
+@lru_cache(maxsize=8)
 def _weights(grid: LayerGrid, vgrid: VelocityGrid) -> _SweepWeights:
-    key = (grid.y_max, grid.n_cells, vgrid.half_width, vgrid.n_cells)
-    w = _weights_cache.get(key)
-    if w is None:
-        w = _SweepWeights(grid, vgrid)
-        _weights_cache[key] = w
-    return w
+    # both grids hash on their defining numbers, not on their arrays
+    return _SweepWeights(grid, vgrid)
 
 
 def _scan_lower(c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -326,6 +318,8 @@ def relaxation_layer_profile(
     values = np.zeros((n_nodes, vgrid.n_cells))
     values[0, pos] = data.incoming.values[pos]
 
+    # maxwellian_values(u, vgrid)[pos] gives the same numbers at two to three
+    # times the cost, and this runs several times per node on every step
     def eq_pos(u: float) -> np.ndarray:
         return np.clip((u - le_pos) / dxi, 0.0, 1.0)
 

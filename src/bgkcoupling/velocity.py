@@ -121,23 +121,24 @@ def _clipped_support(u: float, grid: VelocityGrid):
     return np.clip(u, grid.edges[:-1], grid.edges[1:])
 
 
+def _indicator_equilibrium(u, grid: VelocityGrid) -> np.ndarray:
+    """Cell averages of M(u) for a scalar u, or one row per entry of a column u."""
+    dxi = grid.dxi
+    return np.where(
+        grid.positive,
+        np.clip((u - grid.edges[:-1]) / dxi, 0.0, 1.0),
+        -np.clip((grid.edges[1:] - u) / dxi, 0.0, 1.0),
+    )
+
+
 def maxwellian_values(u: float, grid: VelocityGrid) -> np.ndarray:
     """Exact cell averages of the equilibrium indicator at density u."""
-    le = grid.edges[:-1]
-    re = grid.edges[1:]
-    dxi = grid.dxi
-    pos = grid.positive
-    return np.where(pos, np.clip((u - le) / dxi, 0.0, 1.0), -np.clip((re - u) / dxi, 0.0, 1.0))
+    return _indicator_equilibrium(u, grid)
 
 
 def maxwellian_table(u: np.ndarray, grid: VelocityGrid) -> np.ndarray:
     """Vectorized maxwellian_values: rows are equilibria for each entry of u."""
-    u = np.asarray(u, dtype=float)[:, None]
-    le = grid.edges[None, :-1]
-    re = grid.edges[None, 1:]
-    dxi = grid.dxi
-    pos = grid.positive[None, :]
-    return np.where(pos, np.clip((u - le) / dxi, 0.0, 1.0), -np.clip((re - u) / dxi, 0.0, 1.0))
+    return _indicator_equilibrium(np.asarray(u, dtype=float)[:, None], grid)
 
 
 def maxwellian_cell_flux(u: float, grid: VelocityGrid) -> np.ndarray:

@@ -108,6 +108,15 @@ def test_solver_failure_marks_manifest(tmp_path):
     manifest = read_json(out / "manifest.json")
     assert manifest["status"] == "FAILED"
     assert manifest["error"]
+    # the march up to the failed step is kept
+    prefix_files = {"interface_log.csv", "kinetic_final.csv", "fluid_final.csv", "summary.json"}
+    assert set(manifest["outputs"]) == prefix_files | {"manifest.json"}
+    summary = read_json(out / "summary.json")
+    assert 0 < summary["failed_step"] < summary["n_steps"]
+    assert summary["failed_time"] == summary["failed_step"] * summary["dt"]
+    assert summary["final_time"] == pytest.approx(summary["failed_time"], abs=1e-14)
+    log = (out / "interface_log.csv").read_text().splitlines()
+    assert len(log) == 1 + summary["failed_step"]
 
 
 def test_compare_relaxation_agrees(tmp_path):

@@ -85,6 +85,37 @@ def test_naive_steady_shock_blows_up():
             state = naive_coupled_step(state, dt)
 
 
+def test_naive_failure_keeps_march_prefix():
+    config = small_config(scenario="steady_shock")
+    dt, _ = scenario_dt(config)
+    params = coupling_params_of(config)
+    with pytest.raises(CflError) as caught:
+        run_coupled(build_coupled_initial(config), dt, 400, params, mode="naive", log_every=2)
+    prefix = caught.value.march_prefix
+
+    state = build_coupled_initial(config)
+    snapshots = [state]
+    for n in range(400):
+        try:
+            following = naive_coupled_step(state, dt)
+        except CflError as exc:
+            assert str(exc) == str(caught.value)
+            break
+        state = following
+        if (n + 1) % 2 == 0:
+            snapshots.append(state)
+    assert prefix.failed_step == n
+    assert prefix.failed_time == n * dt
+    assert len(prefix.state.trace_log) == n
+    np.testing.assert_array_equal(prefix.state.kinetic.values, state.kinetic.values)
+    np.testing.assert_array_equal(prefix.state.fluid.values, state.fluid.values)
+    assert len(prefix.snapshots) == len(snapshots)
+    for snap, expected in zip(prefix.snapshots, snapshots):
+        assert snap.time == expected.kinetic.time
+        np.testing.assert_array_equal(snap.kinetic_values, expected.kinetic.values)
+        np.testing.assert_array_equal(snap.fluid_values, expected.fluid.values)
+
+
 def test_warm_start_matches_cold_start():
     warm = small_config(scenario="shock", warm_start=True)
     cold = small_config(scenario="shock", warm_start=False)

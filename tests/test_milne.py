@@ -23,6 +23,7 @@ from bgkcoupling import (
     solve_layer,
     start_profile,
 )
+from bgkcoupling.milne import _weights
 
 VG = VelocityGrid(1.0, 40)
 GRID = LayerGrid(10.0, 200)
@@ -209,3 +210,11 @@ def test_iterate_preserves_admissibility(seed, flux):
     assert out[:, VG.positive].max() <= 1.0 + 1e-13
     assert out[:, ~VG.positive].max() <= 1e-13
     assert out[:, ~VG.positive].min() >= -1.0 - 1e-13
+
+
+def test_layer_weight_cache_is_bounded():
+    limit = _weights.cache_info().maxsize
+    data = LayerData(0.18, maxwellian(0.6, VG))
+    for n in range(limit + 3):
+        relaxation_layer_profile(data, LayerGrid(1.0, 10 + n))
+    assert _weights.cache_info().currsize <= limit

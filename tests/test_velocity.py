@@ -76,7 +76,8 @@ def test_maxwellian_matches_indicator_averages():
 
 
 def test_maxwellian_table_rows():
-    us = np.array([-0.8, -0.2, 0.0, 0.33, 1.0])
+    # cell edges, points inside cells, and both ends of the velocity interval
+    us = np.array([-1.0, -0.8, -0.2, -0.013, 0.0, 0.33, 0.437, 1.0])
     table = maxwellian_table(us, GRID)
     for row, u in zip(table, us):
         np.testing.assert_array_equal(row, maxwellian_values(float(u), GRID))
