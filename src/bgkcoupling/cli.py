@@ -171,6 +171,17 @@ _INTERFACE_HEADER = [
 ]
 
 
+def _log_every(raw: dict, default: int, least: int) -> int:
+    """Snapshot interval in steps; 0 (where allowed) records no snapshots."""
+    try:
+        log_every = int(raw.get("log_every", default))
+    except (TypeError, ValueError):
+        raise ConfigError([f"log_every: must be an integer, got {raw['log_every']!r}"]) from None
+    if log_every < least:
+        raise ConfigError([f"log_every: must be at least {least}, got {log_every}"])
+    return log_every
+
+
 # -- subcommand bodies -----------------------------------------------------
 
 def _cmd_layer(raw: dict, out: Path) -> list[str]:
@@ -207,7 +218,7 @@ def _run_march(raw: dict, out: Path, mode: str) -> list[str]:
     state = build_coupled_initial(cfg)
     params = coupling_params_of(cfg)
     dt, n_steps = scenario_dt(cfg)
-    log_every = int(raw.get("log_every", 0))
+    log_every = _log_every(raw, 0, least=0)
     try:
         final, snaps = run_coupled(state, dt, n_steps, params, mode=mode, log_every=log_every)
     except SOLVER_ERRORS as exc:
@@ -274,7 +285,7 @@ def _cmd_stability(raw: dict, out: Path) -> list[str]:
         cfg,
         pair_seed=int(raw.get("pair_seed", 0)),
         slack=float(raw.get("slack", 0.05)),
-        log_every=int(raw.get("log_every", 10)),
+        log_every=_log_every(raw, 10, least=1),
     )
     _write_json(
         out / "report.json",
@@ -295,7 +306,7 @@ def _cmd_compare(raw: dict, out: Path) -> list[str]:
     cfg = scenario_from(raw)
     params = coupling_params_of(cfg)
     dt, n_steps = scenario_dt(cfg)
-    log_every = int(raw.get("log_every", max(1, n_steps // 50)))
+    log_every = _log_every(raw, max(1, n_steps // 50), least=1)
 
     def march(mode: str):
         return run_coupled(build_coupled_initial(cfg), dt, n_steps, params, mode=mode, log_every=log_every)

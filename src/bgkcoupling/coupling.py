@@ -6,8 +6,11 @@ step, all evaluated on the data available at the step boundary:
 
 1. the kinetic outgoing trace g at x = 0- defines the fluid boundary datum
    v = sqrt(2 flux(g)), imposed weakly through the Godunov flux;
-2. the updated fluid trace u(0+) fixes the layer flux V = u^2/2, and the
-   half-space layer problem for (V, g) is solved;
+2. the updated fluid trace u(0+) fixes the layer flux V = u^2/2, which
+   classifies the half-space layer problem for (V, g); a shock-class layer
+   is solved, while a relaxation-class layer has an identically zero
+   returning half-range, so its profile is marched only when something
+   reads it (a later warm start, a diagnostic);
 3. the layer's returning slice F(0, xi < 0) feeds the kinetic domain as its
    right-edge inflow.
 
@@ -91,8 +94,31 @@ class InterfaceRecord:
     layer_class: str | None
     back_flux_values: np.ndarray | None
     interface_defect: float    # |flux(g) + flux(back) - V|, the trace flux balance
-    layer_iterations: int
-    layer_residual: float
+    layer_iterations: int      # sweeps of the shock-class solve; 0 when no solver ran
+    layer_residual: float      # its last sweep change; 0.0 when no solver ran
+
+
+class _DeferredRelaxationLayer:
+    """Relaxation-class layer whose profile is marched on first read.
+
+    classification is known without the march.  Every other LayerProfile
+    attribute comes from relaxation_layer_profile(data, grid, tol_class),
+    marched once and kept.
+    """
+
+    classification = LayerClass.RELAXATION
+
+    def __init__(self, data: LayerData, grid: LayerGrid, tol_class: float):
+        self._args = (data, grid, tol_class)
+        self._profile: LayerProfile | None = None
+
+    def __getattr__(self, name: str):
+        # reached only for names not set above, i.e. the LayerProfile fields
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if self._profile is None:
+            self._profile = relaxation_layer_profile(*self._args)
+        return getattr(self._profile, name)
 
 
 @dataclass
@@ -102,7 +128,7 @@ class CoupledState:
     kinetic: KineticField
     fluid: FluidField
     far_left_inflow: np.ndarray | None = None
-    layer: LayerProfile | None = None
+    layer: LayerProfile | _DeferredRelaxationLayer | None = None
     trace_log: list[InterfaceRecord] = dc_field(default_factory=list)
 
     def copy(self) -> "CoupledState":
@@ -151,10 +177,11 @@ def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> Coup
 
     data = LayerData(layer_flux, g)
     if classify(data, params.tol_class) is LayerClass.RELAXATION:
-        # Zero returning half-range makes the layer causal in y; the single
-        # march is exact and spares the sweep iteration, whose spectral gap
-        # closes as the interface flux decays.
-        layer = relaxation_layer_profile(data, params.layer_grid, params.tol_class)
+        # The returning half-range is identically zero in this class, so the
+        # kinetic inflow needs no layer solve and no solver runs this step.
+        layer = _DeferredRelaxationLayer(data, params.layer_grid, params.tol_class)
+        returning = np.zeros(kin.velocity.n_cells)
+        iterations, residual = 0, 0.0
     else:
         warm = None
         if params.warm_start and state.layer is not None:
@@ -167,9 +194,10 @@ def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> Coup
             tol_class=params.tol_class,
             start=warm,
         )
-    returning = back_flux(layer)
+        returning = back_flux(layer).values
+        iterations, residual = layer.iterations, layer.last_change
 
-    bc = InflowBoundary(left=state.far_left_inflow, right=returning.values)
+    bc = InflowBoundary(left=state.far_left_inflow, right=returning)
     new_kin = kinetic_step(kin, bc, StiffnessProfile.uniform(kin.space, 1.0), dt)
 
     record = InterfaceRecord(
@@ -180,12 +208,12 @@ def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> Coup
         layer_flux=layer_flux,
         cone_defect=cone_defect,
         layer_class=layer.classification.value,
-        back_flux_values=returning.values.copy(),
+        back_flux_values=returning.copy(),
         interface_defect=abs(
-            flux_out + _negative_flux(returning.values, kin.velocity) - layer_flux
+            flux_out + _negative_flux(returning, kin.velocity) - layer_flux
         ),
-        layer_iterations=layer.iterations,
-        layer_residual=layer.last_change,
+        layer_iterations=iterations,
+        layer_residual=residual,
     )
     log = state.trace_log + [record]
     return CoupledState(new_kin, new_fluid, state.far_left_inflow, layer, log)

@@ -297,9 +297,10 @@ def relaxation_layer_profile(
     below once its own density is known, and that density solves a scalar
     contraction (the downstream source weight of the one partial cell stays
     below one).  The march lands on the same fixed point as the sweep
-    iteration at a fraction of the cost, which is what the coupled marcher
-    leans on when the interface sits in the relaxation regime step after
-    step.  Raises when the data does not classify as relaxation.
+    iteration at a fraction of the cost.  The coupled marcher needs no
+    profile for its relaxation-class steps, whose returning half is zero,
+    and calls this only when the profile is read.  Raises when the data does
+    not classify as relaxation.
     """
     if grid is None:
         grid = LayerGrid(20.0, 400)
@@ -318,16 +319,12 @@ def relaxation_layer_profile(
     values = np.zeros((n_nodes, vgrid.n_cells))
     values[0, pos] = data.incoming.values[pos]
 
-    # maxwellian_values(u, vgrid)[pos] gives the same numbers at two to three
-    # times the cost, and this runs several times per node on every step
-    def eq_pos(u: float) -> np.ndarray:
-        return np.clip((u - le_pos) / dxi, 0.0, 1.0)
-
-    u_prev = dxi * float(values[0, pos].sum())
+    u = dxi * float(values[0, pos].sum())
+    eq = maxwellian_values(u, vgrid)[pos]     # equilibrium at the node below
     residual = 0.0
     row = values[0, pos]
     for k in range(grid.n_cells):
-        base = w.decay_pos * row + w.w_near_pos * eq_pos(u_prev)
+        base = w.decay_pos * row + w.w_near_pos * eq
         base_sum = dxi * float(base.sum())
         # The node equation u = base_sum + dxi * sum_j w_far_j * M_j(u) is
         # piecewise linear and increasing in u, with slope w_far < 1 in the
@@ -344,16 +341,15 @@ def relaxation_layer_profile(
         else:
             u = (base_sum + far_cum[p] - w.w_far_pos[p] * le_pos[p]) / (1.0 - w.w_far_pos[p])
         for _ in range(8):
-            u_next = base_sum + dxi * float(np.dot(w.w_far_pos, eq_pos(u)))
+            u_next = base_sum + dxi * float(np.dot(w.w_far_pos, maxwellian_values(u, vgrid)[pos]))
             done = abs(u_next - u) <= 5e-15 * max(1.0, abs(u_next))
             u = u_next
             if done:
                 break
-        node_residual = abs(u - (base_sum + dxi * float(np.dot(w.w_far_pos, eq_pos(u)))))
-        residual = max(residual, node_residual)
-        row = base + w.w_far_pos * eq_pos(u)
+        eq = maxwellian_values(u, vgrid)[pos]
+        residual = max(residual, abs(u - (base_sum + dxi * float(np.dot(w.w_far_pos, eq)))))
+        row = base + w.w_far_pos * eq
         values[k + 1, pos] = row
-        u_prev = u
     if residual > 1e-9:
         raise ConvergenceError("node density solve inconsistent in the causal march", residual=residual)
     u_inf = float(np.sqrt(2.0 * max(data.flux, 0.0)))

@@ -169,3 +169,16 @@ def test_stability_outputs(tmp_path):
     assert (out / "distances.csv").read_text().splitlines()[0] == "time,distance"
     manifest = read_json(out / "manifest.json")
     assert manifest["config"]["_extras"] == {"log_every": 2, "pair_seed": 1, "slack": 0.1}
+
+
+@pytest.mark.parametrize(
+    "command, log_every",
+    [("coupled", -1), ("naive", -1), ("compare-couplings", 0), ("stability", 0), ("coupled", "ten")],
+)
+def test_invalid_log_every_is_config_error(tmp_path, command, log_every):
+    # compare-couplings and stability compare snapshots, so they need at least
+    # one; coupled and naive take 0 as "no snapshots"
+    cfg = write_config(tmp_path, scenario="relaxation", log_every=log_every)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()

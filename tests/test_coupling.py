@@ -5,6 +5,8 @@ import pytest
 
 from bgkcoupling import (
     CflError,
+    LayerClass,
+    LayerData,
     ConeError,
     CoupledState,
     CouplingParams,
@@ -18,9 +20,12 @@ from bgkcoupling import (
     l1_fluid_distance,
     maxwellian_values,
     naive_coupled_step,
+    outgoing_trace,
+    relaxation_layer_profile,
     run_coupled,
     state_distance,
 )
+from bgkcoupling import coupling
 from bgkcoupling.experiments import (
     ScenarioConfig,
     build_coupled_initial,
@@ -144,6 +149,79 @@ def test_shock_family_record_contents():
         # sign convention: 0 <= sign(xi) f <= 1, so the returning half is in [-1, 0]
         assert np.all(back[~vgrid.positive] <= 1e-15)
         assert np.all(back[~vgrid.positive] >= -1.0 - 1e-15)
+
+
+def count_marches(monkeypatch) -> list:
+    """Record every call coupled_step's layers make to the relaxation march."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return relaxation_layer_profile(*args)
+
+    monkeypatch.setattr(coupling, "relaxation_layer_profile", counted)
+    return calls
+
+
+def test_relaxation_steps_do_not_march_the_layer(monkeypatch):
+    calls = count_marches(monkeypatch)
+    config = small_config(scenario="steady_shock")
+    final, _ = march(config, 20)
+    assert all(r.layer_class == "relaxation" for r in final.trace_log)
+    assert all(r.layer_iterations == 0 and r.layer_residual == 0.0 for r in final.trace_log)
+    assert all(np.all(r.back_flux_values == 0.0) for r in final.trace_log)
+    final.copy()
+    assert final.layer.classification is LayerClass.RELAXATION
+    assert calls == []
+
+
+def eager_relaxation_layer(before: CoupledState, after: CoupledState, params):
+    """March the layer of the relaxation-class step from before to after."""
+    data = LayerData(after.trace_log[-1].layer_flux, outgoing_trace(before.kinetic, "right"))
+    return relaxation_layer_profile(data, params.layer_grid, params.tol_class)
+
+
+def test_deferred_relaxation_layer_matches_eager_march(monkeypatch):
+    calls = count_marches(monkeypatch)
+    config = small_config(scenario="relaxation")
+    state = build_coupled_initial(config)
+    dt, _ = scenario_dt(config)
+    params = coupling_params_of(config)
+    stepped = coupled_step(state, dt, params)
+    eager = eager_relaxation_layer(state, stepped, params)
+    assert stepped.layer.values.tobytes() == eager.values.tobytes()
+    assert stepped.layer.u_infinity == eager.u_infinity
+    stepped.copy().layer.values
+    assert len(calls) == 1   # marched once, on the first read, and kept
+
+
+def test_warm_start_after_relaxation_step_reads_the_same_profile(monkeypatch):
+    # a relaxation-class step followed by a shock-class one: the warm start
+    # of the shock solve reads the deferred profile
+    calls = count_marches(monkeypatch)
+    config = small_config(scenario="relaxation", warm_start=True)
+    dt, _ = scenario_dt(config)
+    params = coupling_params_of(config)
+    initial = build_coupled_initial(config)
+    relaxed = coupled_step(initial, dt, params)
+    assert relaxed.trace_log[-1].layer_class == "relaxation"
+    # a fluid state flowing toward the interface lifts V above flux(g)
+    relaxed.fluid = FluidField(relaxed.fluid.grid, np.full_like(relaxed.fluid.values, -0.7))
+    eager = relaxed.copy()
+    eager.layer = eager_relaxation_layer(initial, relaxed, params)
+
+    deferred_next = coupled_step(relaxed, dt, params)
+    eager_next = coupled_step(eager, dt, params)
+    assert deferred_next.trace_log[-1].layer_class == "shock"
+    assert len(calls) == 1
+    for a, b in (
+        (deferred_next.kinetic.values, eager_next.kinetic.values),
+        (deferred_next.fluid.values, eager_next.fluid.values),
+        (deferred_next.layer.values, eager_next.layer.values),
+        (deferred_next.trace_log[-1].back_flux_values, eager_next.trace_log[-1].back_flux_values),
+    ):
+        assert a.tobytes() == b.tobytes()
+    assert deferred_next.trace_log[-1].layer_iterations == eager_next.trace_log[-1].layer_iterations
 
 
 def test_cone_projection_and_guard():

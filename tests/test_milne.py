@@ -175,6 +175,17 @@ def test_relaxation_march_matches_sweep():
         assert np.all(march.values[:, ~VG.positive] == 0.0)
 
 
+def test_march_equilibrium_is_the_positive_half_clip():
+    # relaxation_layer_profile evaluates M(u) on xi > 0 through
+    # maxwellian_values; that must be bitwise the elementwise clip the march
+    # once computed by itself, so its profiles stay bitwise the same
+    pos = VG.positive
+    le_pos = VG.edges[:-1][pos]
+    for u in np.concatenate((np.linspace(-0.1, 1.1, 241), VG.edges, [0.3 + 1e-15, 0.6 - 1e-16])):
+        expected = np.clip((u - le_pos) / VG.dxi, 0.0, 1.0)
+        assert maxwellian_values(u, VG)[pos].tobytes() == expected.tobytes()
+
+
 def test_relaxation_march_rejects_shock_data():
     zero = DiscreteDistribution(VG, np.zeros(VG.n_cells))
     with pytest.raises(ValueError):
