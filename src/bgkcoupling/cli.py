@@ -22,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -171,15 +172,20 @@ _INTERFACE_HEADER = [
 ]
 
 
-def _log_every(raw: dict, default: int, least: int) -> int:
-    """Snapshot interval in steps; 0 (where allowed) records no snapshots."""
+def _extra_number(raw: dict, key: str, default, kind: type, least):
+    """raw[key] (default when absent) converted by kind, int or float.
+
+    A value that does not convert, is not finite or is below least is a
+    ConfigError, raised before any work starts.
+    """
     try:
-        log_every = int(raw.get("log_every", default))
-    except (TypeError, ValueError):
-        raise ConfigError([f"log_every: must be an integer, got {raw['log_every']!r}"]) from None
-    if log_every < least:
-        raise ConfigError([f"log_every: must be at least {least}, got {log_every}"])
-    return log_every
+        value = kind(raw.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError([f"{key}: must be {what}, got {raw[key]!r}"]) from None
+    if not (math.isfinite(value) and value >= least):
+        raise ConfigError([f"{key}: must be at least {least}, got {value}"])
+    return value
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -218,7 +224,7 @@ def _run_march(raw: dict, out: Path, mode: str) -> list[str]:
     state = build_coupled_initial(cfg)
     params = coupling_params_of(cfg)
     dt, n_steps = scenario_dt(cfg)
-    log_every = _log_every(raw, 0, least=0)
+    log_every = _extra_number(raw, "log_every", 0, int, least=0)
     try:
         final, snaps = run_coupled(state, dt, n_steps, params, mode=mode, log_every=log_every)
     except SOLVER_ERRORS as exc:
@@ -283,9 +289,9 @@ def _cmd_stability(raw: dict, out: Path) -> list[str]:
     cfg = scenario_from(raw)
     report = stability_study(
         cfg,
-        pair_seed=int(raw.get("pair_seed", 0)),
-        slack=float(raw.get("slack", 0.05)),
-        log_every=_log_every(raw, 10, least=1),
+        pair_seed=_extra_number(raw, "pair_seed", 0, int, least=0),
+        slack=_extra_number(raw, "slack", 0.05, float, least=0.0),
+        log_every=_extra_number(raw, "log_every", 10, int, least=1),
     )
     _write_json(
         out / "report.json",
@@ -306,7 +312,7 @@ def _cmd_compare(raw: dict, out: Path) -> list[str]:
     cfg = scenario_from(raw)
     params = coupling_params_of(cfg)
     dt, n_steps = scenario_dt(cfg)
-    log_every = _log_every(raw, max(1, n_steps // 50), least=1)
+    log_every = _extra_number(raw, "log_every", max(1, n_steps // 50), int, least=1)
 
     def march(mode: str):
         return run_coupled(build_coupled_initial(cfg), dt, n_steps, params, mode=mode, log_every=log_every)

@@ -148,16 +148,14 @@ def _transport(field: KineticField, bc: InflowBoundary, dt: float) -> np.ndarray
     if np.abs(nu).max() > 1.0 + 1e-12:
         raise CflError(f"dt = {dt} exceeds the CFL limit {grid.dx / vgrid.half_width}")
     f = field.values
-    west = np.empty_like(f)
-    west[1:] = f[:-1]
-    west[0] = bc.left_values(vgrid)
-    east = np.empty_like(f)
-    east[:-1] = f[1:]
-    east[-1] = bc.right_values(vgrid)
-    pos = vgrid.positive
+    h = vgrid.half
     out = f.copy()
-    out[:, pos] -= nu[pos] * (f[:, pos] - west[:, pos])
-    out[:, ~pos] -= nu[~pos] * (east[:, ~pos] - f[:, ~pos])
+    # xi > 0 cells take from the west neighbour, the left ghost feeding row 0
+    out[1:, h:] -= nu[h:] * (f[1:, h:] - f[:-1, h:])
+    out[0, h:] -= nu[h:] * (f[0, h:] - bc.left_values(vgrid)[h:])
+    # xi < 0 cells take from the east neighbour, the right ghost feeding the last row
+    out[:-1, :h] -= nu[:h] * (f[1:, :h] - f[:-1, :h])
+    out[-1, :h] -= nu[:h] * (bc.right_values(vgrid)[:h] - f[-1, :h])
     return out
 
 

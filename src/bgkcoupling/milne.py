@@ -152,12 +152,17 @@ def start_profile(data: LayerData, classification: LayerClass, grid: LayerGrid) 
 
 
 class _SweepWeights:
-    """Exact exponential-integrator weights for one (layer, velocity) grid pair."""
+    """Exact exponential-integrator weights for one (layer, velocity) grid pair.
+
+    Arrays ending in _pos act on the xi > 0 columns [half:], those ending in
+    _neg on the xi < 0 columns [:half]; powers_* are the doubling scan's
+    decay^(2^r), one per round over the layer's node count.
+    """
 
     def __init__(self, grid: LayerGrid, vgrid: VelocityGrid):
-        self.pos = vgrid.positive
-        xi_pos = vgrid.centers[self.pos]
-        xi_neg = -vgrid.centers[~self.pos]
+        h = vgrid.half
+        xi_pos = vgrid.centers[h:]
+        xi_neg = -vgrid.centers[:h]
         h_pos = grid.dy / xi_pos
         h_neg = grid.dy / xi_neg
         self.decay_pos = np.exp(-h_pos)
@@ -168,6 +173,21 @@ class _SweepWeights:
         self.w_near_pos = a_pos - self.w_far_pos
         self.w_far_neg = a_neg / h_neg - self.decay_neg
         self.w_near_neg = a_neg - self.w_far_neg
+        n_nodes = grid.n_cells + 1
+        self.powers_pos = _doubling_powers(self.decay_pos, n_nodes)
+        self.powers_neg = _doubling_powers(self.decay_neg, n_nodes)
+
+
+def _doubling_powers(d: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """d, d^2, d^4, ...: the factor of each round of a doubling scan over n rows."""
+    powers = []
+    p = d
+    step = 1
+    while step < n:
+        powers.append(p)
+        p = p * p
+        step *= 2
+    return tuple(powers)
 
 
 @lru_cache(maxsize=8)
@@ -176,54 +196,64 @@ def _weights(grid: LayerGrid, vgrid: VelocityGrid) -> _SweepWeights:
     return _SweepWeights(grid, vgrid)
 
 
-def _scan_lower(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Solve y[k] = d * y[k-1] + c[k] with y[0] = c[0] along axis 0.
+def _scan_lower(y: np.ndarray, powers: tuple[np.ndarray, ...], scratch: np.ndarray) -> None:
+    """Solve y[k] = d * y[k-1] + c[k] with y[0] = c[0] along axis 0, in place.
 
+    y holds c on entry and the solution on return; scratch has y's shape.
     The coefficient is constant in k (one value per column), so the usual
     doubling scan applies: after round r each entry holds its trailing
-    window of length 2^r, and gluing windows multiplies by d^(2^r).
-    Log-depth in the node count, every round a full-array operation.
+    window of length 2^r, and gluing windows multiplies by powers[r] =
+    d^(2^r).  Each round reads the previous round's values whole, through
+    scratch, before it updates y.
     """
-    y = c.copy()
-    p = d.copy()
-    step = 1
     n = y.shape[0]
-    while step < n:
-        y[step:] += p * y[:-step]
-        p = p * p
+    step = 1
+    for p in powers:
+        shifted = scratch[: n - step]
+        np.multiply(p, y[: n - step], out=shifted)
+        y[step:] += shifted
         step *= 2
-    return y
 
 
-def golse_iterate(data: LayerData, grid: LayerGrid, values: np.ndarray) -> np.ndarray:
+def golse_iterate(
+    data: LayerData, grid: LayerGrid, values: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """One full sweep of the mild-form fixed-point map.
 
     Rebuilds the equilibrium source from the current iterate, then integrates
     upward from the boundary datum for xi > 0 and downward from the far end
     for xi < 0, closing the tail integral with the source frozen at y_max.
     The map is monotone: larger input profiles give larger output profiles.
+    The new profile is written to out when given, else to a new array, and
+    returned.
     """
     vgrid = data.incoming.grid
     n_nodes = grid.n_cells + 1
     if values.shape != (n_nodes, vgrid.n_cells):
         raise GridMismatchError(f"profile shape {values.shape} does not match the grids")
+    if out is None:
+        out = np.empty_like(values)
     w = _weights(grid, vgrid)
+    h = vgrid.half
     u = vgrid.dxi * values.sum(axis=1)
     source = maxwellian_table(u, vgrid)
-    out = np.empty_like(values)
-    pos = w.pos
-    g_pos = data.incoming.values[pos]
-    src_pos = source[:, pos]
-    c_up = np.empty_like(src_pos)
-    c_up[0] = g_pos
-    c_up[1:] = w.w_near_pos * src_pos[:-1] + w.w_far_pos * src_pos[1:]
-    out[:, pos] = _scan_lower(c_up, w.decay_pos)
-    neg = ~pos
-    src_rev = source[::-1, neg]           # downward integration read from the far end
-    c_down = np.empty_like(src_rev)
-    c_down[0] = src_rev[0]                # exact tail for a constant far source
-    c_down[1:] = w.w_near_neg * src_rev[1:] + w.w_far_neg * src_rev[:-1]
-    out[:, neg] = _scan_lower(c_down, w.decay_neg)[::-1]
+    # Both halves have h columns; each is scanned in a contiguous buffer.
+    c = np.empty((n_nodes, h))
+    scratch = np.empty((n_nodes, h))
+    src_pos = source[:, h:]
+    c[0] = data.incoming.values[h:]
+    np.multiply(w.w_near_pos, src_pos[:-1], out=c[1:])
+    np.multiply(w.w_far_pos, src_pos[1:], out=scratch[1:])
+    c[1:] += scratch[1:]
+    _scan_lower(c, w.powers_pos, scratch)
+    out[:, h:] = c
+    src_rev = source[::-1, :h]            # downward integration read from the far end
+    c[0] = src_rev[0]                     # exact tail for a constant far source
+    np.multiply(w.w_near_neg, src_rev[1:], out=c[1:])
+    np.multiply(w.w_far_neg, src_rev[:-1], out=scratch[1:])
+    c[1:] += scratch[1:]
+    _scan_lower(c, w.powers_neg, scratch)
+    out[:, :h] = c[::-1]
     return out
 
 
@@ -243,8 +273,9 @@ def solve_layer(
     grid : layer grid, default [0, 20] with 400 intervals.
     tol_fix : stop when the sup-over-nodes L1 slice change drops below this.
     max_iter : bail out (ConvergenceError) after this many sweeps.
-    start : optional warm-start profile; when omitted the monotone seed for
-        the detected regime is used and monotonicity is tracked.
+    start : optional warm-start profile, read but never written; when
+        omitted the monotone seed for the detected regime is used and
+        monotonicity is tracked.
 
     Returns the profile with its classification, far field, and diagnostics.
     """
@@ -253,16 +284,22 @@ def solve_layer(
     classification = classify(data, tol_class)
     vgrid = data.incoming.grid
     cold = start is None
-    values = start_profile(data, classification, grid) if cold else np.asarray(start, float)
+    # The sweep alternates between two buffers owned by this solve (start is
+    # copied, never written), and one more holds each sweep's change.
+    values = start_profile(data, classification, grid) if cold else np.array(start, dtype=float)
+    new = np.empty_like(values)
+    change = np.empty_like(values)
     min_increment = np.inf if cold else np.nan
     dxi = vgrid.dxi
     last_change = np.inf
     for iteration in range(1, max_iter + 1):
-        new = golse_iterate(data, grid, values)
+        golse_iterate(data, grid, values, out=new)
+        np.subtract(new, values, out=change)
         if cold:
-            min_increment = min(min_increment, float((new - values).min()))
-        last_change = dxi * float(np.abs(new - values).sum(axis=1).max())
-        values = new
+            min_increment = min(min_increment, float(change.min()))
+        np.abs(change, out=change)
+        last_change = dxi * float(change.sum(axis=1).max())
+        values, new = new, values
         if last_change <= tol_fix:
             break
     else:
@@ -309,20 +346,20 @@ def relaxation_layer_profile(
         raise ValueError("causal march applies to relaxation-class data only")
     vgrid = data.incoming.grid
     w = _weights(grid, vgrid)
-    pos = w.pos
-    le_pos = vgrid.edges[:-1][pos]
+    h = vgrid.half
+    le_pos = vgrid.edges[h:-1]
     dxi = vgrid.dxi
     n_pos = le_pos.size
     edges_pos = np.append(le_pos, le_pos[-1] + dxi)
     far_cum = dxi * np.concatenate(((0.0,), np.cumsum(w.w_far_pos)))
     n_nodes = grid.n_cells + 1
     values = np.zeros((n_nodes, vgrid.n_cells))
-    values[0, pos] = data.incoming.values[pos]
+    values[0, h:] = data.incoming.values[h:]
 
-    u = dxi * float(values[0, pos].sum())
-    eq = maxwellian_values(u, vgrid)[pos]     # equilibrium at the node below
+    u = dxi * float(values[0, h:].sum())
+    eq = maxwellian_values(u, vgrid)[h:]      # equilibrium at the node below
     residual = 0.0
-    row = values[0, pos]
+    row = values[0, h:]
     for k in range(grid.n_cells):
         base = w.decay_pos * row + w.w_near_pos * eq
         base_sum = dxi * float(base.sum())
@@ -341,15 +378,15 @@ def relaxation_layer_profile(
         else:
             u = (base_sum + far_cum[p] - w.w_far_pos[p] * le_pos[p]) / (1.0 - w.w_far_pos[p])
         for _ in range(8):
-            u_next = base_sum + dxi * float(np.dot(w.w_far_pos, maxwellian_values(u, vgrid)[pos]))
+            u_next = base_sum + dxi * float(np.dot(w.w_far_pos, maxwellian_values(u, vgrid)[h:]))
             done = abs(u_next - u) <= 5e-15 * max(1.0, abs(u_next))
             u = u_next
             if done:
                 break
-        eq = maxwellian_values(u, vgrid)[pos]
+        eq = maxwellian_values(u, vgrid)[h:]
         residual = max(residual, abs(u - (base_sum + dxi * float(np.dot(w.w_far_pos, eq)))))
         row = base + w.w_far_pos * eq
-        values[k + 1, pos] = row
+        values[k + 1, h:] = row
     if residual > 1e-9:
         raise ConvergenceError("node density solve inconsistent in the causal march", residual=residual)
     u_inf = float(np.sqrt(2.0 * max(data.flux, 0.0)))

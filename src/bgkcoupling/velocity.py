@@ -47,7 +47,10 @@ class VelocityGrid:
     """Uniform cell-centered grid on (-half_width, half_width).
 
     n_cells must be even so that xi = 0 is a cell edge; cells never straddle
-    the sign change, which the moment and entropy formulas rely on.
+    the sign change, which the moment and entropy formulas rely on.  The
+    velocity half-ranges are therefore contiguous: columns [:half] hold the
+    cells with xi < 0 and columns [half:] those with xi > 0, so kernels read
+    each half as a slice (a view) rather than through the positive mask.
     """
 
     half_width: float
@@ -69,6 +72,11 @@ class VelocityGrid:
     @property
     def dxi(self) -> float:
         return 2.0 * self.half_width / self.n_cells
+
+    @property
+    def half(self) -> int:
+        """Column of the first xi > 0 cell; the middle edge xi = 0 sits before it."""
+        return self.n_cells // 2
 
     @property
     def positive(self) -> np.ndarray:
@@ -122,13 +130,24 @@ def _clipped_support(u: float, grid: VelocityGrid):
 
 
 def _indicator_equilibrium(u, grid: VelocityGrid) -> np.ndarray:
-    """Cell averages of M(u) for a scalar u, or one row per entry of a column u."""
+    """Cell averages of M(u) for a scalar u, or one row per entry of a column u.
+
+    Each half-range is computed in one contiguous scratch block and written to
+    its columns of the result: xi > 0 cells hold the covered share of (0, u),
+    clip((u - left edge) / dxi, 0, 1), and xi < 0 cells minus the covered
+    share of (u, 0), -clip((right edge - u) / dxi, 0, 1).
+    """
     dxi = grid.dxi
-    return np.where(
-        grid.positive,
-        np.clip((u - grid.edges[:-1]) / dxi, 0.0, 1.0),
-        -np.clip((grid.edges[1:] - u) / dxi, 0.0, 1.0),
-    )
+    h = grid.half
+    half = np.subtract(u, grid.edges[h:-1])
+    half /= dxi
+    out = np.empty(half.shape[:-1] + (grid.n_cells,))
+    np.clip(half, 0.0, 1.0, out=out[..., h:])
+    np.subtract(grid.edges[1 : h + 1], u, out=half)
+    half /= dxi
+    np.clip(half, 0.0, 1.0, out=half)
+    np.negative(half, out=out[..., :h])
+    return out
 
 
 def maxwellian_values(u: float, grid: VelocityGrid) -> np.ndarray:

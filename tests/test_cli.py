@@ -182,3 +182,14 @@ def test_invalid_log_every_is_config_error(tmp_path, command, log_every):
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("slack", "x"), ("slack", -0.1), ("pair_seed", "x"), ("pair_seed", -1)],
+)
+def test_invalid_stability_extras_are_config_errors(tmp_path, key, value):
+    cfg = write_config(tmp_path, scenario="relaxation", **{key: value})
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()

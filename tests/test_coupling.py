@@ -130,6 +130,21 @@ def test_warm_start_matches_cold_start():
     assert state_distance(a, b) < 1e-7
 
 
+def test_warm_start_leaves_the_previous_layer_unchanged():
+    # the second step's solve starts from the first step's layer; its reused
+    # sweep buffers must not write into that profile
+    config = small_config(scenario="shock", warm_start=True)
+    dt, _ = scenario_dt(config)
+    params = coupling_params_of(config)
+    first, _ = run_coupled(build_coupled_initial(config), dt, 1, params)
+    kept = first.layer.values.copy()
+    second, _ = run_coupled(first, dt, 1, params)
+    assert [r.layer_class for r in second.trace_log] == ["shock", "shock"]
+    assert second.trace_log[-1].layer_iterations > 2
+    assert first.layer.values.tobytes() == kept.tobytes()
+    assert not np.shares_memory(second.layer.values, first.layer.values)
+
+
 def test_shock_family_record_contents():
     config = small_config(scenario="shock")
     final, _ = march(config, 20)

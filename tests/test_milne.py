@@ -137,6 +137,21 @@ def test_solver_independent_of_start():
     assert np.abs(cold.values - warm.values).max() < 1e-7
 
 
+def test_solve_layer_never_writes_or_returns_the_start():
+    # the solve reuses its own buffers across sweeps; the caller's warm-start
+    # array must stay as it was and must not become the returned profile
+    rng = np.random.default_rng(4)
+    vals = np.zeros(VG.n_cells)
+    vals[VG.positive] = 0.5
+    data = LayerData(0.25, DiscreteDistribution(VG, vals))
+    start = random_profile(rng)
+    kept = start.copy()
+    prof = solve_layer(data, GRID, start=start)
+    assert prof.iterations > 2
+    assert start.tobytes() == kept.tobytes()
+    assert not np.shares_memory(prof.values, start)
+
+
 def test_back_flux_halves():
     vals = np.zeros(VG.n_cells)
     vals[VG.positive] = 0.5

@@ -1,0 +1,162 @@
+"""The sliced kernels against their boolean-mask reference formulations.
+
+The equilibrium table, the layer sweep and kinetic transport read the two
+velocity half-ranges as contiguous column blocks.  The references below are
+the same arithmetic written with the positive mask, np.where and full-array
+neighbour copies.  Every comparison is bitwise: same dtype, same shape, same
+bytes (so a signed zero counts too).
+"""
+
+import numpy as np
+import pytest
+
+from bgkcoupling import (
+    DiscreteDistribution,
+    InflowBoundary,
+    KineticField,
+    LayerData,
+    LayerGrid,
+    SpaceGrid,
+    StiffnessProfile,
+    VelocityGrid,
+    flux_moment,
+    golse_iterate,
+    stable_dt,
+    step,
+)
+from bgkcoupling.velocity import maxwellian_table, maxwellian_values
+
+GRIDS = (VelocityGrid(1.0, 40), VelocityGrid(1.0, 80), VelocityGrid(2.5, 6))
+
+
+def assert_bitwise_equal(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert actual.tobytes() == expected.tobytes()
+
+
+# -- reference formulations ------------------------------------------------
+
+def ref_equilibrium(u, grid):
+    """Both clip branches over every column, one picked per cell by the mask."""
+    dxi = grid.dxi
+    return np.where(
+        grid.positive,
+        np.clip((u - grid.edges[:-1]) / dxi, 0.0, 1.0),
+        -np.clip((grid.edges[1:] - u) / dxi, 0.0, 1.0),
+    )
+
+
+def ref_scan(c, d):
+    y = c.copy()
+    p = d.copy()
+    step_ = 1
+    while step_ < y.shape[0]:
+        y[step_:] += p * y[:-step_]
+        p = p * p
+        step_ *= 2
+    return y
+
+
+def ref_golse_iterate(data, grid, values):
+    """Mask-indexed sweep: fancy-index copies of each half, fresh arrays throughout."""
+    vgrid = data.incoming.grid
+    pos = vgrid.positive
+    neg = ~pos
+    h_pos = grid.dy / vgrid.centers[pos]
+    h_neg = grid.dy / -vgrid.centers[neg]
+    decay_pos, decay_neg = np.exp(-h_pos), np.exp(-h_neg)
+    a_pos, a_neg = -np.expm1(-h_pos), -np.expm1(-h_neg)
+    w_far_pos = 1.0 - a_pos / h_pos
+    w_near_pos = a_pos - w_far_pos
+    w_far_neg = a_neg / h_neg - decay_neg
+    w_near_neg = a_neg - w_far_neg
+
+    u = vgrid.dxi * values.sum(axis=1)
+    source = ref_equilibrium(u[:, None], vgrid)
+    out = np.empty_like(values)
+    src_pos = source[:, pos]
+    c_up = np.empty_like(src_pos)
+    c_up[0] = data.incoming.values[pos]
+    c_up[1:] = w_near_pos * src_pos[:-1] + w_far_pos * src_pos[1:]
+    out[:, pos] = ref_scan(c_up, decay_pos)
+    src_rev = source[::-1, neg]
+    c_down = np.empty_like(src_rev)
+    c_down[0] = src_rev[0]
+    c_down[1:] = w_near_neg * src_rev[1:] + w_far_neg * src_rev[:-1]
+    out[:, neg] = ref_scan(c_down, decay_neg)[::-1]
+    return out
+
+
+def ref_step(field, bc, stiffness, dt):
+    """Upwind transport through full west/east neighbour arrays, then relaxation."""
+    vgrid = field.velocity
+    nu = vgrid.centers * dt / field.space.dx
+    f = field.values
+    west = np.empty_like(f)
+    west[1:] = f[:-1]
+    west[0] = bc.left_values(vgrid)
+    east = np.empty_like(f)
+    east[:-1] = f[1:]
+    east[-1] = bc.right_values(vgrid)
+    pos = vgrid.positive
+    transported = f.copy()
+    transported[:, pos] -= nu[pos] * (f[:, pos] - west[:, pos])
+    transported[:, ~pos] -= nu[~pos] * (east[:, ~pos] - f[:, ~pos])
+    u = vgrid.dxi * transported.sum(axis=1)
+    eq = ref_equilibrium(u[:, None], vgrid)
+    w = -np.expm1(-stiffness.alpha * dt)
+    return transported + w[:, None] * (eq - transported)
+
+
+# -- bitwise pins ----------------------------------------------------------
+
+def equilibrium_points(grid, rng):
+    """Every cell edge, both ends, zero, and random points inside cells."""
+    inner = rng.uniform(-grid.half_width, grid.half_width, 64)
+    return np.concatenate((grid.edges, [-grid.half_width, grid.half_width, 0.0, -0.0], inner))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.half_width}x{g.n_cells}")
+def test_equilibrium_matches_mask_reference_bitwise(grid):
+    us = equilibrium_points(grid, np.random.default_rng(grid.n_cells))
+    for u in us:
+        assert_bitwise_equal(maxwellian_values(float(u), grid), ref_equilibrium(float(u), grid))
+    assert_bitwise_equal(maxwellian_table(us, grid), ref_equilibrium(us[:, None], grid))
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.05], ids=["relaxation", "shock"])
+def test_golse_iterate_matches_mask_reference_bitwise(gap):
+    rng = np.random.default_rng(7)
+    vg = VelocityGrid(1.0, 40)
+    grid = LayerGrid(10.0, 200)
+    incoming = DiscreteDistribution(vg, np.where(vg.positive, rng.uniform(0.0, 0.9, vg.n_cells), 0.0))
+    data = LayerData(flux_moment(incoming) + gap, incoming)
+    raw = rng.uniform(0.0, 1.0, (grid.n_cells + 1, vg.n_cells))
+    values = np.where(vg.positive, raw, -raw)
+    kept = values.copy()
+    expected = ref_golse_iterate(data, grid, values)
+
+    assert_bitwise_equal(golse_iterate(data, grid, values), expected)
+    buffer = np.full_like(values, np.nan)
+    assert golse_iterate(data, grid, values, out=buffer) is buffer
+    assert_bitwise_equal(buffer, expected)
+    assert_bitwise_equal(values, kept)
+
+
+def test_kinetic_step_matches_mask_reference_bitwise():
+    rng = np.random.default_rng(11)
+    sg = SpaceGrid(-1.0, 0.0, 60)
+    vg = VelocityGrid(1.0, 20)
+    raw = rng.uniform(0.0, 1.0, (sg.n_cells, vg.n_cells))
+    field = KineticField(sg, vg, np.where(vg.positive, raw, -raw))
+    bc = InflowBoundary(
+        left=np.where(vg.positive, rng.uniform(0.0, 1.0, vg.n_cells), 0.0),
+        right=np.where(vg.positive, 0.0, -rng.uniform(0.0, 1.0, vg.n_cells)),
+    )
+    stiffness = StiffnessProfile(np.where(sg.centers > -0.5, 10.0, 1.0))
+    dt = stable_dt(sg, vg)
+    kept = field.values.copy()
+    assert_bitwise_equal(step(field, bc, stiffness, dt).values, ref_step(field, bc, stiffness, dt))
+    assert_bitwise_equal(field.values, kept)

@@ -37,6 +37,9 @@ def test_grid_layout():
     # zero must be an edge so the sign of each cell is unambiguous
     assert 0.0 in GRID.edges
     assert np.all(GRID.centers[GRID.positive] > 0)
+    # so each half-range is one block of columns, split at half
+    for grid in (GRID, VelocityGrid(2.5, 6)):
+        np.testing.assert_array_equal(grid.positive, np.arange(grid.n_cells) >= grid.half)
 
 
 def test_odd_cell_count_rejected():
