@@ -118,6 +118,8 @@ class ScenarioConfig:
             items.append("layer: y_max and n_y must be positive")
         if self.tol_fix <= 0 or self.tol_class <= 0 or self.max_iter <= 0:
             items.append("tolerances: tol_fix, tol_class, max_iter must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            items.append(f"seed: must be an integer of at least 0, got {self.seed!r}")
         if items:
             raise ConfigError(items)
 

@@ -150,11 +150,16 @@ def _transport(field: KineticField, bc: InflowBoundary, dt: float) -> np.ndarray
     f = field.values
     h = vgrid.half
     out = f.copy()
+    diff = np.empty((f.shape[0] - 1, h))   # one scratch block for both halves
     # xi > 0 cells take from the west neighbour, the left ghost feeding row 0
-    out[1:, h:] -= nu[h:] * (f[1:, h:] - f[:-1, h:])
+    np.subtract(f[1:, h:], f[:-1, h:], out=diff)
+    diff *= nu[h:]
+    out[1:, h:] -= diff
     out[0, h:] -= nu[h:] * (f[0, h:] - bc.left_values(vgrid)[h:])
     # xi < 0 cells take from the east neighbour, the right ghost feeding the last row
-    out[:-1, :h] -= nu[:h] * (f[1:, :h] - f[:-1, :h])
+    np.subtract(f[1:, :h], f[:-1, :h], out=diff)
+    diff *= nu[:h]
+    out[:-1, :h] -= diff
     out[-1, :h] -= nu[:h] * (bc.right_values(vgrid)[:h] - f[-1, :h])
     return out
 
@@ -177,8 +182,11 @@ def step(field: KineticField, bc: InflowBoundary, stiffness: StiffnessProfile, d
     u = vgrid.dxi * transported.sum(axis=1)
     eq = maxwellian_table(u, vgrid)
     w = -np.expm1(-stiffness.alpha * dt)
-    values = transported + w[:, None] * (eq - transported)
-    return KineticField(field.space, vgrid, values, field.time + dt)
+    # transported + w (eq - transported), in place in eq
+    eq -= transported
+    eq *= w[:, None]
+    eq += transported
+    return KineticField(field.space, vgrid, eq, field.time + dt)
 
 
 def outgoing_trace(field: KineticField, edge: str) -> DiscreteDistribution:

@@ -19,6 +19,14 @@ sweep is pointwise nondecreasing, which is the discrete counterpart of the
 monotone existence argument for this problem.  All exponential weights are
 exact for piecewise-linear source data, so constant equilibria are exact
 fixed points of the sweep.
+
+Warm-started shock-class solves, the ones the coupled march repeats step
+after step, mix the last few sweep outputs (Anderson acceleration) and take
+far fewer sweeps.  Cold solves keep the plain sweep: the monotone run from
+the seed is the existence certificate, and mixing from the cold seed can
+settle on the wrong far field.  Relaxation-class solves keep it too; they
+are off the coupled step path, and mixing would move them away from the
+cold solution by more than the solver's own agreement between starts.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ __all__ = [
 TOL_CLASS = 1e-8
 TOL_FIX = 1e-8
 MAX_ITER = 10000
+_ANDERSON_DEPTH = 2     # sweep outputs mixed beyond the newest, warm shock-class solves only
+_GRAM_FLOOR = 1e-12     # relative Gram determinant below which a mix falls back to the plain step
 
 
 class LayerClass(enum.Enum):
@@ -257,6 +267,45 @@ def golse_iterate(
     return out
 
 
+def _anderson_mix(
+    ring: np.ndarray, residuals: np.ndarray, newest: int, filled: int, out: np.ndarray
+) -> None:
+    """Write the Anderson mix of the last `filled` sweep outputs into out.
+
+    ring[i] holds a sweep output G(x_i) and residuals[i] the node sums of
+    G(x_i) - x_i; the newest entry sits at index newest and older ones
+    before it, cyclically.  The sweep reads its input only through the node
+    densities, so these sums carry the whole state of the map.  The weights
+    alpha, summing to one, minimize |sum alpha_i residuals[i]|, in the
+    difference form of Walker & Ni (2011): a 1x1 or 2x2 normal system solved
+    in closed form.  A degenerate system gives the plain step out = G(x_k).
+    The mix itself is one matrix-vector product over the stacked ring;
+    slots not yet filled hold zeros and get weight zero.
+    """
+    n = ring.shape[0]
+    f = residuals[newest]
+    older = [(newest - j) % n for j in range(1, filled)]
+    gammas: tuple[float, ...] = ()
+    if len(older) == 1:
+        d1 = f - residuals[older[0]]
+        a = float(d1 @ d1)
+        if a > 0.0:
+            gammas = (float(d1 @ f) / a,)
+    elif len(older) == 2:
+        d1 = f - residuals[older[0]]
+        d2 = f - residuals[older[1]]
+        a, b, c = float(d1 @ d1), float(d1 @ d2), float(d2 @ d2)
+        e1, e2 = float(d1 @ f), float(d2 @ f)
+        det = a * c - b * b
+        if det > _GRAM_FLOOR * a * c:
+            gammas = ((c * e1 - b * e2) / det, (a * e2 - b * e1) / det)
+    alpha = np.zeros(n)
+    alpha[newest] = 1.0 - sum(gammas)
+    for gamma, i in zip(gammas, older):
+        alpha[i] = gamma
+    np.dot(alpha, ring.reshape(n, -1), out=out.reshape(-1))
+
+
 def solve_layer(
     data: LayerData,
     grid: LayerGrid | None = None,
@@ -277,6 +326,12 @@ def solve_layer(
         omitted the monotone seed for the detected regime is used and
         monotonicity is tracked.
 
+    A warm start of shock-class data mixes each new sweep output with the
+    previous two (Anderson, depth 2); every other solve is the plain sweep
+    x <- G(x), which from the cold seed rises monotonically to the fixed
+    point.  Either way the stop test is the change of one sweep, the
+    returned profile is a sweep output G(x), and iterations counts sweeps.
+
     Returns the profile with its classification, far field, and diagnostics.
     """
     if grid is None:
@@ -284,24 +339,40 @@ def solve_layer(
     classification = classify(data, tol_class)
     vgrid = data.incoming.grid
     cold = start is None
-    # The sweep alternates between two buffers owned by this solve (start is
-    # copied, never written), and one more holds each sweep's change.
-    values = start_profile(data, classification, grid) if cold else np.array(start, dtype=float)
-    new = np.empty_like(values)
-    change = np.empty_like(values)
+    depth = 0 if cold or classification is LayerClass.RELAXATION else _ANDERSON_DEPTH
+    # values holds the iterate x, owned by this solve (start is copied, never
+    # written).  Once the sweep has read x it takes the change G(x) - x, and
+    # then the next iterate.  Sweep outputs G(x) go to a ring of depth + 1
+    # profiles; with depth 0 the one slot trades places with values instead.
+    if cold:
+        values = start_profile(data, classification, grid)
+    else:
+        values = np.array(start, dtype=float, order="C")
+    ring = np.zeros((depth + 1,) + values.shape)
+    slots = list(ring)
+    residuals = np.zeros((depth + 1, values.shape[0]))
+    ones = np.ones(values.shape[1])
     min_increment = np.inf if cold else np.nan
     dxi = vgrid.dxi
     last_change = np.inf
     for iteration in range(1, max_iter + 1):
-        golse_iterate(data, grid, values, out=new)
-        np.subtract(new, values, out=change)
+        slot = iteration % (depth + 1)
+        swept = slots[slot]
+        golse_iterate(data, grid, values, out=swept)
+        change = np.subtract(swept, values, out=values)
         if cold:
             min_increment = min(min_increment, float(change.min()))
+        if depth:
+            np.dot(change, ones, out=residuals[slot])
         np.abs(change, out=change)
         last_change = dxi * float(change.sum(axis=1).max())
-        values, new = new, values
         if last_change <= tol_fix:
+            values = swept.copy()   # a slot is a view; the profile keeps none of the ring
             break
+        if depth:
+            _anderson_mix(ring, residuals, slot, min(iteration, depth + 1), values)
+        else:
+            values, slots[0] = swept, values
     else:
         raise ConvergenceError(
             f"layer iteration did not reach {tol_fix} in {max_iter} sweeps", residual=last_change

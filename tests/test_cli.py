@@ -193,3 +193,13 @@ def test_invalid_stability_extras_are_config_errors(tmp_path, key, value):
     out = tmp_path / "out"
     assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-3, 1.5])
+def test_invalid_seed_is_config_error(tmp_path, seed):
+    # stability draws its states from seeds 2 * pair_seed + seed and the next
+    # one; a negative or fractional seed must stop before any work starts
+    cfg = write_config(tmp_path, scenario="relaxation", horizon=0.05, seed=seed)
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()

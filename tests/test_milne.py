@@ -23,7 +23,14 @@ from bgkcoupling import (
     solve_layer,
     start_profile,
 )
-from bgkcoupling.milne import _weights
+from bgkcoupling import coupling, milne
+from bgkcoupling.experiments import (
+    ScenarioConfig,
+    build_coupled_initial,
+    coupling_params_of,
+    scenario_dt,
+)
+from bgkcoupling.milne import MAX_ITER, TOL_FIX, _weights
 
 VG = VelocityGrid(1.0, 40)
 GRID = LayerGrid(10.0, 200)
@@ -244,3 +251,125 @@ def test_layer_weight_cache_is_bounded():
     for n in range(limit + 3):
         relaxation_layer_profile(data, LayerGrid(1.0, 10 + n))
     assert _weights.cache_info().currsize <= limit
+
+
+def plain_sweep_reference(data, grid, tol_fix=TOL_FIX, start=None):
+    """The plain monotone loop x <- G(x) that solve_layer runs unmixed.
+
+    Returns (values, iterations, last_change, min_increment); min_increment
+    is tracked from the cold seed only, as solve_layer does.
+    """
+    cold = start is None
+    x = start_profile(data, classify(data), grid) if cold else np.array(start, dtype=float)
+    min_increment = np.inf
+    for iteration in range(1, MAX_ITER + 1):
+        new = golse_iterate(data, grid, x)
+        diff = new - x
+        min_increment = min(min_increment, float(diff.min()))
+        last_change = data.incoming.grid.dxi * float(np.abs(diff).sum(axis=1).max())
+        x = new
+        if last_change <= tol_fix:
+            return x, iteration, last_change, min_increment if cold else float("nan")
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.fixture(scope="module")
+def shock_warm_solve():
+    """(data, start, grid) of the first warm layer solve of the shock scenario.
+
+    Captured from coupling.coupled_step: step 0 solves cold, step 1 starts
+    from step 0's profile, at a cone gap of about 0.055 (eta 0.1).
+    """
+    config = ScenarioConfig(scenario="shock", eta=0.1, horizon=0.5)
+    params = coupling_params_of(config)
+    dt, _ = scenario_dt(config)
+    state = build_coupled_initial(config)
+    captured = []
+
+    def recording(data, **kwargs):
+        captured.append((data, kwargs["start"]))
+        return solve_layer(data, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coupling, "solve_layer", recording)
+        for _ in range(2):
+            state = coupling.coupled_step(state, dt, params)
+    data, start = captured[1]
+    assert classify(data) is LayerClass.SHOCK and start is not None
+    return data, start, params.layer_grid
+
+
+@pytest.mark.parametrize("u_in, flux", [(0.6, 0.18), (0.3, 0.18)])
+def test_cold_solves_match_the_plain_loop_bitwise(u_in, flux):
+    # M(0.6) carries flux 0.18 (relaxation class); M(0.3) carries 0.045, so
+    # the same V makes a shock-class layer
+    data = LayerData(flux, maxwellian(u_in, VG))
+    prof = solve_layer(data, GRID)
+    values, iterations, last_change, min_increment = plain_sweep_reference(data, GRID)
+    assert prof.iterations == iterations > 1
+    assert prof.values.tobytes() == values.tobytes()
+    assert prof.last_change == last_change
+    assert prof.min_increment == min_increment >= -1e-12
+
+
+def test_warm_relaxation_solve_matches_the_plain_loop_bitwise():
+    rng = np.random.default_rng(5)
+    vals = np.zeros(VG.n_cells)
+    vals[VG.positive] = 0.5
+    data = LayerData(0.25, DiscreteDistribution(VG, vals))
+    start = random_profile(rng)
+    prof = solve_layer(data, GRID, start=start)
+    values, iterations, last_change, _ = plain_sweep_reference(data, GRID, start=start)
+    assert prof.iterations == iterations
+    assert prof.values.tobytes() == values.tobytes()
+    assert prof.last_change == last_change
+
+
+def test_warm_shock_solve_is_mixed_and_as_accurate(shock_warm_solve):
+    data, start, grid = shock_warm_solve
+    # Sup error bound against a tight solve: the plain loop stopped at
+    # tol_fix = 1e-8 lands within 3e-6 of it here, and the mixed solve must
+    # meet the same 1e-5.
+    bound = 1e-5
+    tight = solve_layer(data, grid, tol_fix=1e-13).values
+    plain, plain_iterations, _, _ = plain_sweep_reference(data, grid, start=start)
+    mixed = solve_layer(data, grid, start=start)
+    assert np.abs(plain - tight).max() <= bound
+    assert np.abs(mixed.values - tight).max() <= bound
+    assert mixed.iterations < plain_iterations / 3
+    assert mixed.last_change <= TOL_FIX
+    # the returned profile is a sweep output, so it is admissible to the
+    # sweep's rounding (as in test_iterate_preserves_admissibility)
+    pos = data.incoming.grid.positive
+    assert mixed.values[:, pos].min() >= -1e-13 and mixed.values[:, pos].max() <= 1.0 + 1e-13
+    assert mixed.values[:, ~pos].max() <= 1e-13 and mixed.values[:, ~pos].min() >= -1.0 - 1e-13
+
+
+def test_iterations_count_sweep_calls(shock_warm_solve, monkeypatch):
+    data, start, grid = shock_warm_solve
+    calls = []
+    sweep = milne.golse_iterate
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(milne, "golse_iterate", counted)
+    for warm in (start, None):
+        calls.clear()
+        prof = solve_layer(data, grid, start=warm)
+        assert len(calls) == prof.iterations
+        assert set(calls) == {start.shape}
+
+
+def test_mixed_solve_aliases_neither_start_nor_previous_profile(shock_warm_solve):
+    data, start, grid = shock_warm_solve
+    kept = start.copy()
+    first = solve_layer(data, grid, start=start)
+    second = solve_layer(data, grid, start=first.values)
+    assert first.iterations > 2
+    assert start.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first.values, start)
+    assert not np.shares_memory(second.values, first.values)
+    # the profile owns its array, so a kept layer holds none of the solve's buffers
+    assert first.values.base is None and second.values.base is None
