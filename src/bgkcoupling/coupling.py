@@ -14,6 +14,12 @@ step, all evaluated on the data available at the step boundary:
 3. the layer's returning slice F(0, xi < 0) feeds the kinetic domain as its
    right-edge inflow.
 
+With warm start on, a shock-class solve starts from the previous step's
+layer L_n, or, when the two previous steps were both shock class, from its
+linear extrapolation in time 2 L_n - L_(n-1).  The state keeps L_(n-1)'s
+values for that, and drops them on any other step.  Where the far rows of
+the two layers agree (V constant), the extrapolation keeps them exactly.
+
 The naive variant skips the admissibility mechanism entirely: it imposes the
 kinetic outflux directly as the positive part of the fluid boundary flux and
 reflects the fluid trace back as an equilibrium inflow.  The two variants
@@ -130,6 +136,9 @@ class CoupledState:
     far_left_inflow: np.ndarray | None = None
     layer: LayerProfile | _DeferredRelaxationLayer | None = None
     trace_log: list[InterfaceRecord] = dc_field(default_factory=list)
+    # values of the shock-class layer before layer, when layer is shock class
+    # too; None after a relaxation-class or naive step
+    previous_layer_values: np.ndarray | None = None
 
     def copy(self) -> "CoupledState":
         return CoupledState(
@@ -138,6 +147,7 @@ class CoupledState:
             far_left_inflow=None if self.far_left_inflow is None else self.far_left_inflow.copy(),
             layer=self.layer,
             trace_log=list(self.trace_log),
+            previous_layer_values=self.previous_layer_values,
         )
 
 
@@ -182,10 +192,19 @@ def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> Coup
         layer = _DeferredRelaxationLayer(data, params.layer_grid, params.tol_class)
         returning = np.zeros(kin.velocity.n_cells)
         iterations, residual = 0, 0.0
+        previous = None
     else:
+        # classification is read first, so a deferred relaxation layer is
+        # never marched to be kept as L_(n-1)
+        after_shock = state.layer is not None and state.layer.classification is LayerClass.SHOCK
+        previous = state.layer.values if after_shock else None
         warm = None
         if params.warm_start and state.layer is not None:
             warm = state.layer.values
+            if after_shock and state.previous_layer_values is not None:
+                # the two steps before were shock class: 2 L_n - L_(n-1)
+                warm = np.multiply(warm, 2.0)
+                warm -= state.previous_layer_values
         layer = solve_layer(
             data,
             grid=params.layer_grid,
@@ -216,7 +235,7 @@ def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> Coup
         layer_residual=residual,
     )
     log = state.trace_log + [record]
-    return CoupledState(new_kin, new_fluid, state.far_left_inflow, layer, log)
+    return CoupledState(new_kin, new_fluid, state.far_left_inflow, layer, log, previous)
 
 
 def naive_coupled_step(state: CoupledState, dt: float) -> CoupledState:

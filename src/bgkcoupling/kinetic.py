@@ -18,7 +18,7 @@ from .errors import CflError, GridMismatchError
 from .velocity import (
     DiscreteDistribution,
     VelocityGrid,
-    check_admissible,
+    check_signed_admissible,
     maxwellian_table,
     maxwellian_values,
 )
@@ -155,13 +155,18 @@ def _transport(field: KineticField, bc: InflowBoundary, dt: float) -> np.ndarray
     np.subtract(f[1:, h:], f[:-1, h:], out=diff)
     diff *= nu[h:]
     out[1:, h:] -= diff
-    out[0, h:] -= nu[h:] * (f[0, h:] - bc.left_values(vgrid)[h:])
+    out[0, h:] -= nu[h:] * (f[0, h:] - _inflow_half(bc.left, slice(h, None)))
     # xi < 0 cells take from the east neighbour, the right ghost feeding the last row
     np.subtract(f[1:, :h], f[:-1, :h], out=diff)
     diff *= nu[:h]
     out[:-1, :h] -= diff
-    out[-1, :h] -= nu[:h] * (bc.right_values(vgrid)[:h] - f[-1, :h])
+    out[-1, :h] -= nu[:h] * (_inflow_half(bc.right, slice(None, h)) - f[-1, :h])
     return out
+
+
+def _inflow_half(values: np.ndarray | None, half: slice) -> np.ndarray | float:
+    """The read half of an inflow slice, as a view; a missing inflow is 0.0."""
+    return 0.0 if values is None else np.asarray(values, dtype=float)[half]
 
 
 def step(field: KineticField, bc: InflowBoundary, stiffness: StiffnessProfile, dt: float) -> KineticField:
@@ -172,10 +177,11 @@ def step(field: KineticField, bc: InflowBoundary, stiffness: StiffnessProfile, d
     updates.  Mass changes only through the boundary fluxes.
     """
     vgrid = field.velocity
+    h = vgrid.half
     if bc.left is not None:
-        check_admissible(np.where(vgrid.positive, bc.left, 0.0), vgrid)
+        check_signed_admissible(_inflow_half(bc.left, slice(h, None)))
     if bc.right is not None:
-        check_admissible(np.where(vgrid.positive, 0.0, bc.right), vgrid)
+        check_signed_admissible(np.negative(_inflow_half(bc.right, slice(None, h))))
     if stiffness.alpha.shape != (field.space.n_cells,):
         raise GridMismatchError("stiffness profile does not match the space grid")
     transported = _transport(field, bc, dt)

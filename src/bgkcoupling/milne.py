@@ -18,7 +18,10 @@ the solution (zero, or the far-field equilibrium in the transition case) the
 sweep is pointwise nondecreasing, which is the discrete counterpart of the
 monotone existence argument for this problem.  All exponential weights are
 exact for piecewise-linear source data, so constant equilibria are exact
-fixed points of the sweep.
+fixed points of the sweep.  A sweep works on one (node, velocity) block: the
+xi > 0 columns in node order and the magnitudes of the xi < 0 columns with
+the nodes reversed, so that both half-ranges integrate in row order through
+a single scan; the xi < 0 half is negated on the way out, which is exact.
 
 Warm-started shock-class solves, the ones the coupled march repeats step
 after step, mix the last few sweep outputs (Anderson acceleration) and take
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,10 +44,10 @@ from .errors import ConeError, ConvergenceError, GridMismatchError
 from .velocity import (
     DiscreteDistribution,
     VelocityGrid,
+    _covered_shares,
     check_admissible,
     flux_moment,
     maxwellian,
-    maxwellian_table,
     maxwellian_values,
 )
 
@@ -165,8 +168,10 @@ class _SweepWeights:
     """Exact exponential-integrator weights for one (layer, velocity) grid pair.
 
     Arrays ending in _pos act on the xi > 0 columns [half:], those ending in
-    _neg on the xi < 0 columns [:half]; powers_* are the doubling scan's
-    decay^(2^r), one per round over the layer's node count.
+    _neg on the xi < 0 columns [:half].  The relaxation march reads only the
+    _pos arrays.  The sweep's own tables, sweep_tables, follow its one-block
+    column order and are built on the first sweep, so a grid pair that only
+    ever marches relaxation-class layers never pays for them.
     """
 
     def __init__(self, grid: LayerGrid, vgrid: VelocityGrid):
@@ -175,6 +180,7 @@ class _SweepWeights:
         xi_neg = -vgrid.centers[:h]
         h_pos = grid.dy / xi_pos
         h_neg = grid.dy / xi_neg
+        self.n_nodes = grid.n_cells + 1
         self.decay_pos = np.exp(-h_pos)
         self.decay_neg = np.exp(-h_neg)
         a_pos = -np.expm1(-h_pos)          # 1 - e^-h
@@ -183,9 +189,21 @@ class _SweepWeights:
         self.w_near_pos = a_pos - self.w_far_pos
         self.w_far_neg = a_neg / h_neg - self.decay_neg
         self.w_near_neg = a_neg - self.w_far_neg
-        n_nodes = grid.n_cells + 1
-        self.powers_pos = _doubling_powers(self.decay_pos, n_nodes)
-        self.powers_neg = _doubling_powers(self.decay_neg, n_nodes)
+
+    @cached_property
+    def sweep_tables(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """(wa, wb, powers) over the block columns [xi < 0 | xi > 0].
+
+        In the block, row k of the xi < 0 columns is node n - 1 - k, so both
+        halves integrate downward in row order: wa weighs the source of the
+        row above (the far node for xi < 0, the near node for xi > 0), wb
+        that of the row itself, and powers are the doubling scan's
+        decay^(2^r) per round.
+        """
+        wa = np.concatenate((self.w_far_neg, self.w_near_pos))
+        wb = np.concatenate((self.w_near_neg, self.w_far_pos))
+        decay = np.concatenate((self.decay_neg, self.decay_pos))
+        return wa, wb, _doubling_powers(decay, self.n_nodes)
 
 
 def _doubling_powers(d: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -214,7 +232,8 @@ def _scan_lower(y: np.ndarray, powers: tuple[np.ndarray, ...], scratch: np.ndarr
     doubling scan applies: after round r each entry holds its trailing
     window of length 2^r, and gluing windows multiplies by powers[r] =
     d^(2^r).  Each round reads the previous round's values whole, through
-    scratch, before it updates y.
+    scratch, before it updates y.  Columns never mix, so the sweep scans
+    both half-ranges of its block in one call.
     """
     n = y.shape[0]
     step = 1
@@ -236,6 +255,15 @@ def golse_iterate(
     The map is monotone: larger input profiles give larger output profiles.
     The new profile is written to out when given, else to a new array, and
     returned.
+
+    Both half-ranges run in one (n_nodes, n_xi) block.  Columns [half:] hold
+    the xi > 0 half in node order; columns [:half] hold the magnitudes of the
+    xi < 0 half with the rows reversed, far end first, so both integrate in
+    row order and one scan covers the block.  The xi < 0 half is written
+    back negated.  Negation commutes exactly with round-to-nearest products
+    and sums, and every term of that half shares one sign, so no sum can
+    flip a zero: the result is bitwise the sweep done half by half on the
+    signed values.
     """
     vgrid = data.incoming.grid
     n_nodes = grid.n_cells + 1
@@ -243,27 +271,22 @@ def golse_iterate(
         raise GridMismatchError(f"profile shape {values.shape} does not match the grids")
     if out is None:
         out = np.empty_like(values)
-    w = _weights(grid, vgrid)
+    wa, wb, powers = _weights(grid, vgrid).sweep_tables
     h = vgrid.half
     u = vgrid.dxi * values.sum(axis=1)
-    source = maxwellian_table(u, vgrid)
-    # Both halves have h columns; each is scanned in a contiguous buffer.
-    c = np.empty((n_nodes, h))
-    scratch = np.empty((n_nodes, h))
-    src_pos = source[:, h:]
-    c[0] = data.incoming.values[h:]
-    np.multiply(w.w_near_pos, src_pos[:-1], out=c[1:])
-    np.multiply(w.w_far_pos, src_pos[1:], out=scratch[1:])
-    c[1:] += scratch[1:]
-    _scan_lower(c, w.powers_pos, scratch)
-    out[:, h:] = c
-    src_rev = source[::-1, :h]            # downward integration read from the far end
-    c[0] = src_rev[0]                     # exact tail for a constant far source
-    np.multiply(w.w_near_neg, src_rev[1:], out=c[1:])
-    np.multiply(w.w_far_neg, src_rev[:-1], out=scratch[1:])
-    c[1:] += scratch[1:]
-    _scan_lower(c, w.powers_neg, scratch)
-    out[:, :h] = c[::-1]
+    # block holds the source, then the scan's right-hand side and solution;
+    # out is scratch until the last two lines write the profile into it, so
+    # the sweep allocates one profile-sized array
+    block = _covered_shares(u[:, None], u[::-1, None], vgrid, np.empty(values.shape))
+    np.multiply(wa, block[:-1], out=out[1:])
+    block[1:] *= wb
+    block[1:] += out[1:]
+    # row 0: the boundary datum for xi > 0; for xi < 0 the far source itself,
+    # the exact tail of a source constant beyond y_max
+    block[0, h:] = data.incoming.values[h:]
+    _scan_lower(block, powers, out)
+    out[:, h:] = block[:, h:]
+    np.negative(block[::-1, :h], out=out[:, :h])
     return out
 
 

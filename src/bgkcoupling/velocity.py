@@ -37,6 +37,7 @@ __all__ = [
     "entropy_defect_cumulative",
     "l1_distance",
     "check_admissible",
+    "check_signed_admissible",
     "indicator_cell_average",
     "indicator_cell_flux",
 ]
@@ -115,9 +116,19 @@ class DiscreteDistribution:
 
 def check_admissible(values: np.ndarray, grid: VelocityGrid, tol: float = 1e-12) -> None:
     """Raise unless 0 <= sign(xi) * f <= 1 up to tol, cellwise."""
-    signed = np.where(grid.positive, values, -values)
-    low = float(signed.min(initial=0.0))
-    high = float(signed.max(initial=0.0))
+    check_signed_admissible(np.where(grid.positive, values, -values), tol)
+
+
+def check_signed_admissible(signed: np.ndarray, tol: float = 1e-12) -> None:
+    """Raise unless 0 <= signed <= 1 up to tol, where signed holds sign(xi) * f.
+
+    Takes any set of cells, such as one half-range alone; the error reports
+    the same bounds as check_admissible would on the full slice with the
+    other cells zero.
+    """
+    # + 0.0 drops the sign of a zero bound, which depends on the reduction order
+    low = float(signed.min(initial=0.0)) + 0.0
+    high = float(signed.max(initial=0.0)) + 0.0
     if low < -tol or high > 1.0 + tol:
         raise AdmissibilityError(
             f"distribution outside admissible bounds: sign(xi)*f in [{low:.3e}, {high:.3e}]"
@@ -129,24 +140,34 @@ def _clipped_support(u: float, grid: VelocityGrid):
     return np.clip(u, grid.edges[:-1], grid.edges[1:])
 
 
+def _covered_shares(u_pos, u_neg, grid: VelocityGrid, out: np.ndarray) -> np.ndarray:
+    """Magnitudes |M| of the equilibrium's cell averages, written into out.
+
+    Columns [half:] take the covered share of (0, u_pos) in each xi > 0
+    cell, clip((u_pos - left edge) / dxi, 0, 1), and columns [:half] the
+    covered share of (u_neg, 0) in each xi < 0 cell, clip((right edge -
+    u_neg) / dxi, 0, 1); M itself is minus that share there.  One subtract
+    per half, then one divide and one clip over the whole block.  u_pos and
+    u_neg are scalars or columns; the sweep passes the same densities in two
+    row orders.
+    """
+    h = grid.half
+    np.subtract(u_pos, grid.edges[h:-1], out=out[..., h:])
+    np.subtract(grid.edges[1 : h + 1], u_neg, out=out[..., :h])
+    out /= grid.dxi
+    np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
 def _indicator_equilibrium(u, grid: VelocityGrid) -> np.ndarray:
     """Cell averages of M(u) for a scalar u, or one row per entry of a column u.
 
-    Each half-range is computed in one contiguous scratch block and written to
-    its columns of the result: xi > 0 cells hold the covered share of (0, u),
-    clip((u - left edge) / dxi, 0, 1), and xi < 0 cells minus the covered
-    share of (u, 0), -clip((right edge - u) / dxi, 0, 1).
+    xi > 0 cells hold the covered share of (0, u) and xi < 0 cells minus the
+    covered share of (u, 0) (see _covered_shares).
     """
-    dxi = grid.dxi
     h = grid.half
-    half = np.subtract(u, grid.edges[h:-1])
-    half /= dxi
-    out = np.empty(half.shape[:-1] + (grid.n_cells,))
-    np.clip(half, 0.0, 1.0, out=out[..., h:])
-    np.subtract(grid.edges[1 : h + 1], u, out=half)
-    half /= dxi
-    np.clip(half, 0.0, 1.0, out=half)
-    np.negative(half, out=out[..., :h])
+    out = _covered_shares(u, u, grid, np.empty(np.shape(u)[:-1] + (grid.n_cells,)))
+    np.negative(out[..., :h], out=out[..., :h])
     return out
 
 

@@ -23,6 +23,7 @@ from bgkcoupling import (
     outgoing_trace,
     relaxation_layer_profile,
     run_coupled,
+    solve_layer,
     state_distance,
 )
 from bgkcoupling import coupling
@@ -143,6 +144,130 @@ def test_warm_start_leaves_the_previous_layer_unchanged():
     assert second.trace_log[-1].layer_iterations > 2
     assert first.layer.values.tobytes() == kept.tobytes()
     assert not np.shares_memory(second.layer.values, first.layer.values)
+
+
+def record_solves(monkeypatch) -> list:
+    """Record (data, a copy of start, returned profile) of every coupled_step layer solve."""
+    solves = []
+
+    def recording(data, **kwargs):
+        start = kwargs["start"]
+        profile = solve_layer(data, **kwargs)
+        solves.append((data, None if start is None else start.copy(), profile))
+        return profile
+
+    monkeypatch.setattr(coupling, "solve_layer", recording)
+    return solves
+
+
+def extrapolated(state: CoupledState) -> np.ndarray:
+    return 2.0 * state.layer.values - state.previous_layer_values
+
+
+def held_layers(state: CoupledState) -> list:
+    """The layer arrays a state keeps: its layer's values and the one before."""
+    arrays = [] if state.layer is None else [state.layer.values]
+    if state.previous_layer_values is not None:
+        arrays.append(state.previous_layer_values)
+    return arrays
+
+
+def test_extrapolated_start_follows_two_shock_steps(monkeypatch):
+    solves = record_solves(monkeypatch)
+    config = small_config(scenario="shock", warm_start=True)
+    dt, _ = scenario_dt(config)
+    params = coupling_params_of(config)
+    state = build_coupled_initial(config)
+    for n in range(5):
+        before = state
+        kept = [a.copy() for a in held_layers(before)]
+        state = coupled_step(before, dt, params)
+        start = solves[-1][1]
+        if n == 0:
+            assert start is None and state.previous_layer_values is None
+        elif n == 1:
+            # one shock step behind: the plain warm start
+            assert start.tobytes() == before.layer.values.tobytes()
+            assert state.previous_layer_values is before.layer.values
+        else:
+            assert start.tobytes() == extrapolated(before).tobytes()
+            assert start.tobytes() != before.layer.values.tobytes()
+            assert state.previous_layer_values is before.layer.values
+        # the two previous layers are read, never written, and the new one owns its array
+        assert [a.tobytes() for a in held_layers(before)] == [a.tobytes() for a in kept]
+        assert not any(np.shares_memory(state.layer.values, a) for a in held_layers(before))
+    assert [r.layer_class for r in state.trace_log] == ["shock"] * 5
+    assert state.copy().previous_layer_values is state.previous_layer_values
+
+
+def test_relaxation_step_resets_the_extrapolated_start(monkeypatch):
+    solves = record_solves(monkeypatch)
+    calls = count_marches(monkeypatch)
+    config = small_config(scenario="shock", warm_start=True)
+    dt, _ = scenario_dt(config)
+    params = coupling_params_of(config)
+    state, _ = run_coupled(build_coupled_initial(config), dt, 3, params)
+    assert state.previous_layer_values is not None
+    # a resting fluid takes less than the kinetic outflux: V is projected
+    # onto flux(g), and the step is relaxation class
+    state.fluid = FluidField(state.fluid.grid, np.zeros_like(state.fluid.values))
+    relaxed = coupled_step(state, dt, params)
+    assert relaxed.trace_log[-1].layer_class == "relaxation"
+    assert relaxed.previous_layer_values is None
+    # a fluid flowing toward the interface makes the next steps shock class
+    relaxed.fluid = FluidField(relaxed.fluid.grid, np.full_like(relaxed.fluid.values, -0.7))
+    first = coupled_step(relaxed, dt, params)
+    assert solves[-1][1].tobytes() == relaxed.layer.values.tobytes()
+    assert first.previous_layer_values is None
+    second = coupled_step(first, dt, params)
+    assert solves[-1][1].tobytes() == first.layer.values.tobytes()
+    third = coupled_step(second, dt, params)
+    assert solves[-1][1].tobytes() == extrapolated(second).tobytes()
+    assert [r.layer_class for r in third.trace_log[-3:]] == ["shock"] * 3
+    assert len(calls) == 1   # the relaxation layer, read as the first warm start
+
+
+def test_cold_runs_pass_no_start(monkeypatch):
+    solves = record_solves(monkeypatch)
+    config = small_config(scenario="shock", warm_start=False)
+    dt, _ = scenario_dt(config)
+    final, _ = run_coupled(build_coupled_initial(config), dt, 6, coupling_params_of(config))
+    assert len(solves) == 6
+    assert all(start is None for _, start, _ in solves)
+
+
+@pytest.fixture(scope="module")
+def shock_march_solves():
+    """Every layer solve of the shock scenario at eta 0.1, horizon 0.5, and the final state."""
+    config = ScenarioConfig(scenario="shock", eta=0.1, horizon=0.5)
+    dt, n_steps = scenario_dt(config)
+    params = coupling_params_of(config)
+    with pytest.MonkeyPatch.context() as mp:
+        solves = record_solves(mp)
+        final, _ = run_coupled(build_coupled_initial(config), dt, n_steps, params)
+    assert len(solves) == n_steps
+    return solves, final, params
+
+
+def test_extrapolated_shock_solves_are_as_accurate(shock_march_solves):
+    # Sup error bound against a tight cold solve, as in
+    # test_warm_shock_solve_is_mixed_and_as_accurate: the stop test bounds
+    # the change of one sweep, not the error, so the bound is checked per start.
+    solves, _, params = shock_march_solves
+    for n, (data, start, profile) in enumerate(solves[:30]):
+        assert (start is None) == (n == 0)
+        tight = solve_layer(data, params.layer_grid, tol_fix=1e-13).values
+        assert np.abs(profile.values - tight).max() <= 1e-5, f"step {n}"
+
+
+def test_shock_march_ends_on_the_far_state(shock_march_solves):
+    # the benchmark's shock check: V is constant, so the extrapolated far
+    # rows stay exact (2a - a == a) and the last node holds -sqrt(2V)
+    _, final, _ = shock_march_solves
+    layer = final.layer
+    flux = final.trace_log[-1].layer_flux
+    assert layer.classification is LayerClass.SHOCK
+    assert abs(layer.velocity.dxi * layer.values[-1].sum() + np.sqrt(2.0 * flux)) <= 1e-10
 
 
 def test_shock_family_record_contents():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgkcoupling import (
+    AdmissibilityError,
     CflError,
     InflowBoundary,
     KineticField,
@@ -144,6 +145,42 @@ def test_admissibility_preserved_two_zone():
     for _ in range(30):
         fld = step(fld, bc, stiff, stable_dt(sg, VG))
         check_admissible(fld.values, VG, tol=1e-12)
+
+
+def full_slice_error(side, values):
+    """The error check_admissible raises on the inflow's read half, the other half zero."""
+    read = VG.positive if side == "left" else ~VG.positive
+    try:
+        check_admissible(np.where(read, values, 0.0), VG)
+    except AdmissibilityError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_step_checks_only_the_read_half_of_each_inflow(side):
+    # each inflow is checked on the half it feeds, with the bounds reported
+    # as for the full slice; the other half is never read
+    rng = np.random.default_rng(2)
+    fld = random_field(rng)
+    read = VG.positive if side == "left" else ~VG.positive
+    sign = 1.0 if side == "left" else -1.0
+    good = np.where(read, sign * rng.uniform(0.0, 1.0, VG.n_cells), 5.0)
+    cases = [good]
+    for j, bad in ((1, 1.5), (3, -0.25), (0, 1.0 + 1e-9)):
+        values = good.copy()
+        values[np.flatnonzero(read)[j]] = sign * bad
+        cases.append(values)
+    dt = stable_dt(SG, VG)
+    for values in cases:
+        expected = full_slice_error(side, values)
+        bc = InflowBoundary(**{side: values})
+        if expected is None:
+            step(fld, bc, StiffnessProfile.uniform(SG), dt)
+            continue
+        with pytest.raises(AdmissibilityError) as caught:
+            step(fld, bc, StiffnessProfile.uniform(SG), dt)
+        assert str(caught.value) == expected
 
 
 def test_outgoing_trace_masks():

@@ -21,9 +21,11 @@ from bgkcoupling import (
     VelocityGrid,
     flux_moment,
     golse_iterate,
+    relaxation_layer_profile,
     stable_dt,
     step,
 )
+from bgkcoupling.milne import _weights
 from bgkcoupling.velocity import maxwellian_table, maxwellian_values
 
 GRIDS = (VelocityGrid(1.0, 40), VelocityGrid(1.0, 80), VelocityGrid(2.5, 6))
@@ -160,3 +162,94 @@ def test_kinetic_step_matches_mask_reference_bitwise():
     kept = field.values.copy()
     assert_bitwise_equal(step(field, bc, stiffness, dt).values, ref_step(field, bc, stiffness, dt))
     assert_bitwise_equal(field.values, kept)
+
+
+# -- the one-block sweep on its edge cases ---------------------------------
+
+def sweep_case(vg, grid, rng, gap=0.05):
+    """Shock-class data and a random signed profile on the grid pair."""
+    incoming = DiscreteDistribution(vg, np.where(vg.positive, rng.uniform(0.0, 0.9, vg.n_cells), 0.0))
+    data = LayerData(min(flux_moment(incoming) + gap, 0.5 * vg.half_width**2), incoming)
+    raw = rng.uniform(0.0, 1.0, (grid.n_cells + 1, vg.n_cells))
+    return data, np.where(vg.positive, raw, -raw)
+
+
+def test_golse_iterate_matches_mask_reference_bitwise_on_the_default_grids():
+    # LayerGrid(20, 400) x VelocityGrid(1, 80), the pair every scenario uses
+    vg = VelocityGrid(1.0, 80)
+    grid = LayerGrid(20.0, 400)
+    data, values = sweep_case(vg, grid, np.random.default_rng(3))
+    assert_bitwise_equal(golse_iterate(data, grid, values), ref_golse_iterate(data, grid, values))
+
+
+def node_density(row, vg):
+    """The density golse_iterate reads from one profile row."""
+    return vg.dxi * row[None, :].sum(axis=1)[0]
+
+
+def row_with_density(target, vg):
+    """A profile row whose node density is target, or the nearest double of its sign.
+
+    Not every double is dxi times another, so a few targets are missed by an
+    ulp.  A row of -0.0 sums to +0.0, so -0.0 comes from a tiny negative
+    entry whose product with dxi underflows.
+    """
+    x = target / vg.dxi
+    candidates = [x]
+    up = down = x
+    for _ in range(8):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        candidates += [up, down]
+    rows = []
+    for c in candidates:
+        row = np.zeros(vg.n_cells)
+        row[0] = c
+        u = node_density(row, vg)
+        rows.append(((np.signbit(u) != np.signbit(target), abs(u - target)), row))
+    return min(rows, key=lambda keyed: keyed[0])[1]
+
+
+@pytest.mark.parametrize("vg", GRIDS, ids=lambda g: f"{g.half_width}x{g.n_cells}")
+def test_golse_iterate_is_bitwise_at_node_densities_on_cell_edges(vg):
+    # every cell edge, +-0.0 and +-half_width as node densities, so the
+    # source clips land exactly on 0 and 1 and signed zeros reach the scan
+    targets = np.concatenate((vg.edges, [0.0, -0.0, vg.half_width, -vg.half_width]))
+    grid = LayerGrid(5.0, 2 * targets.size - 1)
+    data, values = sweep_case(vg, grid, np.random.default_rng(vg.n_cells))
+    values[::2] = [row_with_density(t, vg) for t in targets]
+    u = np.array([node_density(row, vg) for row in values[::2]])
+    assert np.all(np.abs(u - targets) <= np.spacing(np.abs(targets)))
+    assert np.array_equal(np.signbit(u), np.signbit(targets))
+    assert np.count_nonzero(u == targets) >= 0.7 * targets.size
+    assert_bitwise_equal(golse_iterate(data, grid, values), ref_golse_iterate(data, grid, values))
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 22, 37])
+def test_golse_iterate_matches_mask_reference_bitwise_off_power_of_two(n_cells):
+    # node counts 2, 3, 23, 38: the doubling scan's last round covers part of the block
+    vg = VelocityGrid(2.5, 6)
+    grid = LayerGrid(3.0, n_cells)
+    data, values = sweep_case(vg, grid, np.random.default_rng(n_cells))
+    assert_bitwise_equal(golse_iterate(data, grid, values), ref_golse_iterate(data, grid, values))
+
+
+def test_relaxation_march_builds_no_sweep_tables():
+    vg = VelocityGrid(1.0, 40)
+    grid = LayerGrid(7.0, 123)           # a pair no other test uses
+    incoming = DiscreteDistribution(vg, np.where(vg.positive, maxwellian_values(0.6, vg), 0.0))
+    data = LayerData(flux_moment(incoming), incoming)
+    relaxation_layer_profile(data, grid)
+    weights = _weights(grid, vg)
+    assert "sweep_tables" not in vars(weights)
+    golse_iterate(data, grid, np.zeros((grid.n_cells + 1, vg.n_cells)))
+    assert "sweep_tables" in vars(weights)
+
+
+def test_sweep_weight_cache_stays_bounded():
+    limit = _weights.cache_info().maxsize
+    vg = VelocityGrid(1.0, 40)
+    data, _ = sweep_case(vg, LayerGrid(1.0, 10), np.random.default_rng(0))
+    for n in range(limit + 3):
+        grid = LayerGrid(1.0, 10 + n)
+        golse_iterate(data, grid, np.zeros((grid.n_cells + 1, vg.n_cells)))
+    assert _weights.cache_info().currsize <= limit
