@@ -22,6 +22,10 @@ fixed points of the sweep.  A sweep works on one (node, velocity) block: the
 xi > 0 columns in node order and the magnitudes of the xi < 0 columns with
 the nodes reversed, so that both half-ranges integrate in row order through
 a single scan; the xi < 0 half is negated on the way out, which is exact.
+The equilibrium source vanishes in every velocity cell beyond the range of
+the node densities, so the sweep builds and scans only the band of columns
+that the source or the boundary datum reaches and fills the others with the
+signed zeros (and datum row) that the full scan would give them.
 
 Warm-started shock-class solves, the ones the coupled march repeats step
 after step, mix the last few sweep outputs (Anderson acceleration) and take
@@ -244,6 +248,31 @@ def _scan_lower(y: np.ndarray, powers: tuple[np.ndarray, ...], scratch: np.ndarr
         step *= 2
 
 
+def _sweep_band(u: np.ndarray, datum: np.ndarray, vgrid: VelocityGrid) -> tuple[int, int]:
+    """Block columns [lo, hi) that the source or the boundary datum reaches.
+
+    A xi < 0 column lies below the band when its right edge is strictly
+    below every node density u, and a xi > 0 column above it when its left
+    edge is strictly above every u and its datum is zero.  Edges increase
+    with the column, so both runs are contiguous and the band always holds
+    at least one column next to xi = 0.  A density exactly on an edge keeps
+    that column in the band, and a NaN density keeps every column.
+
+    Outside the band every covered share clips a strictly negative quotient
+    (edge distance / dxi) and is +0.0.  The quotient cannot underflow to
+    -0.0: the distances are to O(1) edges, or, at the edge xi = 0, to a
+    density that is itself dxi times a row sum.
+    """
+    h = vgrid.half
+    edges = vgrid.edges
+    lo = int(np.count_nonzero(edges[1 : h + 1] < u.min()))
+    hi = vgrid.n_cells - int(np.count_nonzero(edges[h:-1] > u.max()))
+    reached = np.flatnonzero(datum[hi:])
+    if reached.size:
+        hi += int(reached[-1]) + 1
+    return lo, hi
+
+
 def golse_iterate(
     data: LayerData, grid: LayerGrid, values: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -264,6 +293,15 @@ def golse_iterate(
     and sums, and every term of that half shares one sign, so no sum can
     flip a zero: the result is bitwise the sweep done half by half on the
     signed values.
+
+    Only the band of columns [lo, hi) that the source or the datum reaches
+    is built and scanned (see _sweep_band); the scan's columns never mix.
+    Outside the band the source is +0.0 in every row, and so is each
+    right-hand side, a sum of such zeros times the positive weights.  A
+    xi < 0 column beyond it therefore scans to +0.0 throughout and is
+    written as -0.0; a xi > 0 column has a zero datum and scans to +0.0
+    below row 0, and row 0 keeps the datum itself, a -0.0 included.  The
+    fill is what the full-width scan gives, bit for bit.
     """
     vgrid = data.incoming.grid
     n_nodes = grid.n_cells + 1
@@ -273,20 +311,27 @@ def golse_iterate(
         out = np.empty_like(values)
     wa, wb, powers = _weights(grid, vgrid).sweep_tables
     h = vgrid.half
+    datum = data.incoming.values
     u = vgrid.dxi * values.sum(axis=1)
-    # block holds the source, then the scan's right-hand side and solution;
-    # out is scratch until the last two lines write the profile into it, so
-    # the sweep allocates one profile-sized array
-    block = _covered_shares(u[:, None], u[::-1, None], vgrid, np.empty(values.shape))
-    np.multiply(wa, block[:-1], out=out[1:])
-    block[1:] *= wb
-    block[1:] += out[1:]
+    lo, hi = _sweep_band(u, datum, vgrid)
+    m = h - lo                      # block columns [:m] hold the xi < 0 cells lo..h - 1
+    # block holds the band's source, then the scan's right-hand side and
+    # solution; out's memory is scratch until the last lines write the
+    # profile into it, so the sweep allocates one band-sized array
+    block = _covered_shares(u[:, None], u[::-1, None], vgrid, np.empty((n_nodes, hi - lo)), lo, hi)
+    scratch = out.reshape(-1)[: block.size].reshape(block.shape)
+    np.multiply(wa[lo:hi], block[:-1], out=scratch[1:])
+    block[1:] *= wb[lo:hi]
+    block[1:] += scratch[1:]
     # row 0: the boundary datum for xi > 0; for xi < 0 the far source itself,
     # the exact tail of a source constant beyond y_max
-    block[0, h:] = data.incoming.values[h:]
-    _scan_lower(block, powers, out)
-    out[:, h:] = block[:, h:]
-    np.negative(block[::-1, :h], out=out[:, :h])
+    block[0, m:] = datum[h:hi]
+    _scan_lower(block, tuple(p[lo:hi] for p in powers), scratch)
+    out[:, :lo] = -0.0
+    np.negative(block[::-1, :m], out=out[:, lo:h])
+    out[:, h:hi] = block[:, m:]
+    out[1:, hi:] = 0.0
+    out[0, hi:] = datum[hi:]
     return out
 
 

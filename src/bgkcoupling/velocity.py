@@ -140,7 +140,9 @@ def _clipped_support(u: float, grid: VelocityGrid):
     return np.clip(u, grid.edges[:-1], grid.edges[1:])
 
 
-def _covered_shares(u_pos, u_neg, grid: VelocityGrid, out: np.ndarray) -> np.ndarray:
+def _covered_shares(
+    u_pos, u_neg, grid: VelocityGrid, out: np.ndarray, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
     """Magnitudes |M| of the equilibrium's cell averages, written into out.
 
     Columns [half:] take the covered share of (0, u_pos) in each xi > 0
@@ -150,10 +152,19 @@ def _covered_shares(u_pos, u_neg, grid: VelocityGrid, out: np.ndarray) -> np.nda
     per half, then one divide and one clip over the whole block.  u_pos and
     u_neg are scalars or columns; the sweep passes the same densities in two
     row orders.
+
+    out may hold only the grid columns [lo, hi), a range that contains the
+    split (lo <= half <= hi); its columns [:half - lo] are then the xi < 0
+    cells lo.. and the rest the xi > 0 cells ..hi - 1.  The layer sweep
+    builds its source on the band of columns that the densities reach this
+    way; every share outside that band is exactly +0.0.
     """
     h = grid.half
-    np.subtract(u_pos, grid.edges[h:-1], out=out[..., h:])
-    np.subtract(grid.edges[1 : h + 1], u_neg, out=out[..., :h])
+    if hi is None:
+        hi = grid.n_cells
+    m = h - lo
+    np.subtract(u_pos, grid.edges[h:hi], out=out[..., m:])
+    np.subtract(grid.edges[lo + 1 : h + 1], u_neg, out=out[..., :m])
     out /= grid.dxi
     np.clip(out, 0.0, 1.0, out=out)
     return out

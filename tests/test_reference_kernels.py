@@ -7,6 +7,8 @@ neighbour copies.  Every comparison is bitwise: same dtype, same shape, same
 bytes (so a signed zero counts too).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,17 @@ from bgkcoupling import (
     flux_moment,
     golse_iterate,
     relaxation_layer_profile,
+    run_coupled,
     stable_dt,
     step,
+)
+from bgkcoupling import milne
+from bgkcoupling.experiments import (
+    ScenarioConfig,
+    build_coupled_initial,
+    coupling_params_of,
+    random_coupled_state,
+    scenario_dt,
 )
 from bgkcoupling.milne import _weights
 from bgkcoupling.velocity import maxwellian_table, maxwellian_values
@@ -253,3 +264,144 @@ def test_sweep_weight_cache_stays_bounded():
         grid = LayerGrid(1.0, 10 + n)
         golse_iterate(data, grid, np.zeros((grid.n_cells + 1, vg.n_cells)))
     assert _weights.cache_info().currsize <= limit
+
+
+# -- the sweep band ----------------------------------------------------------
+#
+# golse_iterate builds and scans only the columns [lo, hi) that the node
+# densities or the boundary datum reach, and fills the rest.  On
+# VelocityGrid(1, 40) the xi < 0 columns 0..19 have right edges -0.95..0.0
+# and the xi > 0 columns 20..39 left edges 0.0..0.95.
+
+BAND_VG = VelocityGrid(1.0, 40)
+BAND_GRID = LayerGrid(3.0, 12)
+E = BAND_VG.edges
+
+# (densities, {datum column: value}, expected band); densities repeat over the nodes
+BAND_CASES = {
+    "lower limit on -0.0": ([-0.0, 0.12, 0.33], {}, (19, 27)),
+    "lower limit on +0.0": ([0.0, 0.12, 0.33], {}, (19, 27)),
+    "upper limit on -0.0": ([-0.47, -0.23, -0.0], {}, (10, 21)),
+    "upper limit on +0.0": ([-0.47, -0.23, 0.0], {}, (10, 21)),
+    "lower limit on a cell edge": ([E[6], 0.12, 0.07], {22: 0.4}, (5, 23)),
+    "upper limit on a cell edge": ([-0.23, E[27], 0.2], {}, (15, 28)),
+    "datum beyond the source": ([-0.23, -0.1], {35: 0.3}, (15, 36)),
+    "datum -0.0 beyond the band": ([-0.23, -0.1], {20: 0.5, 33: -0.0, 39: -0.0}, (15, 21)),
+    "one xi > 0 column": ([0.01, 0.04, 0.02], {}, (20, 21)),
+    "one xi < 0 column": ([-0.01, -0.04, -0.02], {}, (19, 20)),
+    "all positive": ([0.3, 0.62, 0.05], {c: 1.0 for c in range(20, 30)}, (20, 33)),
+    "all negative": ([-0.3, -0.62, -0.05], {}, (7, 20)),
+}
+
+
+def band_case(densities, datum, vg=BAND_VG, grid=BAND_GRID, seed=0):
+    """Layer data with the given datum and a profile whose node densities cycle through densities."""
+    values = np.zeros(vg.n_cells)
+    for column, value in datum.items():
+        values[column] = value
+    incoming = DiscreteDistribution(vg, values)
+    data = LayerData(flux_moment(incoming) + 0.01, incoming)
+    targets = np.resize(np.array(densities, dtype=float), grid.n_cells + 1)
+    np.random.default_rng(seed).shuffle(targets)
+    return data, np.array([row_with_density(t, vg) for t in targets])
+
+
+def assert_edge_densities_hit(values, densities, vg):
+    # a density on a cell edge (+-0.0 included) limits the band only if it
+    # sits there exactly, sign included
+    u = np.array([node_density(row, vg) for row in values])
+    for t in densities:
+        if t in vg.edges:
+            hit = (u == t) & (np.signbit(u) == np.signbit(t))
+            assert hit.any(), f"no node density is exactly {t!r}"
+
+
+@pytest.mark.parametrize("case", BAND_CASES, ids=str)
+def test_golse_iterate_is_bitwise_on_band_edge_cases(case):
+    densities, datum, _ = BAND_CASES[case]
+    data, values = band_case(densities, datum)
+    assert_edge_densities_hit(values, densities, BAND_VG)
+    assert_bitwise_equal(golse_iterate(data, BAND_GRID, values), ref_golse_iterate(data, BAND_GRID, values))
+
+
+@pytest.mark.parametrize("case", BAND_CASES, ids=str)
+def test_golse_iterate_scans_only_the_band(case, monkeypatch):
+    densities, datum, (lo, hi) = BAND_CASES[case]
+    widths = []
+    scan = milne._scan_lower
+
+    def recording(block, powers, scratch):
+        widths.append(block.shape)
+        assert all(p.shape == (block.shape[1],) for p in powers)
+        scan(block, powers, scratch)
+
+    monkeypatch.setattr(milne, "_scan_lower", recording)
+    data, values = band_case(densities, datum)
+    golse_iterate(data, BAND_GRID, values)
+    assert widths == [(BAND_GRID.n_cells + 1, hi - lo)]
+
+
+@pytest.mark.parametrize("vg", GRIDS[:2], ids=lambda g: f"{g.half_width}x{g.n_cells}")
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_golse_iterate_is_bitwise_with_the_band_limit_on_every_edge(vg, side):
+    # the smallest density on each xi < 0 right edge, or the largest on each
+    # xi > 0 left edge with a zero datum; +-0.0 included, every other
+    # density strictly on the far side of the limit.  Only grids with
+    # dxi < 1/2 are used, where a tiny negative row gives the density -0.0.
+    h = vg.half
+    rng = np.random.default_rng(h)
+    limits = list(vg.edges[1 : h + 1] if side == "lower" else vg.edges[h:-1]) + [-0.0]
+    hits = 0
+    for n, limit in enumerate(limits):
+        if side == "lower":
+            others = rng.uniform(np.nextafter(limit, np.inf), vg.half_width, 6)
+            datum = {c: rng.uniform(0.0, 1.0) for c in range(h, vg.n_cells)}
+        else:
+            others = rng.uniform(-vg.half_width, np.nextafter(limit, -np.inf), 6)
+            datum = {}
+        data, values = band_case([limit, *others], datum, vg, seed=n)
+        u = np.array([node_density(row, vg) for row in values])
+        extreme = u.min() if side == "lower" else u.max()
+        hits += extreme == limit and np.signbit(extreme) == np.signbit(limit)
+        assert_bitwise_equal(golse_iterate(data, BAND_GRID, values), ref_golse_iterate(data, BAND_GRID, values))
+    assert hits >= 0.7 * len(limits)
+
+
+def swept_by_reference(data, grid, values, *, out=None):
+    expected = ref_golse_iterate(data, grid, values)
+    if out is None:
+        return expected
+    out[...] = expected
+    return out
+
+
+def record_bytes(state):
+    """Final layer and the layer fields of every interface record, as bytes."""
+    records = [
+        (r.layer_iterations, np.float64(r.layer_residual).tobytes(), r.back_flux_values.tobytes())
+        for r in state.trace_log
+    ]
+    return state.layer.values.tobytes(), records
+
+
+# (config, initial state, steps): the first 20 steps of shock at eta 0.1, and
+# random state 0 of the relaxation family over its whole horizon
+MARCHES = {
+    "shock": (ScenarioConfig(scenario="shock", eta=0.1), build_coupled_initial, 20),
+    "random": (ScenarioConfig(scenario="relaxation"), partial(random_coupled_state, seed=0), None),
+}
+
+
+@pytest.mark.parametrize("scenario", MARCHES)
+def test_coupled_march_matches_the_reference_sweep_bytewise(scenario, monkeypatch):
+    # every solve, sweep count and residual of the banded sweep is that of
+    # the full-width reference
+    config, initial, n_steps = MARCHES[scenario]
+    dt, horizon_steps = scenario_dt(config)
+    n_steps = n_steps or horizon_steps
+    params = coupling_params_of(config)
+    banded, _ = run_coupled(initial(config), dt, n_steps, params)
+    monkeypatch.setattr(milne, "golse_iterate", swept_by_reference)
+    reference, _ = run_coupled(initial(config), dt, n_steps, params)
+    assert sum(r.layer_iterations for r in banded.trace_log) > n_steps
+    assert record_bytes(banded) == record_bytes(reference)
