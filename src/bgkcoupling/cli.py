@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import run_coupled, state_distance
+from .coupling import InterfaceRecord, run_coupled, snapshot_distance, state_distance
 from .errors import SOLVER_ERRORS, ConfigError
 from .experiments import (
     ScenarioConfig,
@@ -73,7 +73,7 @@ def parse_config(path: str | None) -> dict:
     unknown = sorted(set(raw) - _CONFIG_KEYS - _EXTRA_KEYS)
     if unknown:
         raise ConfigError([f"config: unknown key {k!r}" for k in unknown])
-    if "epsilons" in raw:
+    if isinstance(raw.get("epsilons"), list):
         raw["epsilons"] = tuple(raw["epsilons"])
     return raw
 
@@ -142,34 +142,14 @@ def _field_csv_rows(centers: np.ndarray, values: np.ndarray):
         yield [x, *row]
 
 
+# every InterfaceRecord field but the returning slice, in declaration order
+_INTERFACE_HEADER = [f.name for f in fields(InterfaceRecord) if f.name != "back_flux_values"]
+
+
 def _interface_rows(log):
     for rec in log:
-        yield [
-            rec.time,
-            rec.flux_out,
-            rec.v,
-            rec.u_trace,
-            rec.layer_flux,
-            rec.cone_defect,
-            rec.layer_class if rec.layer_class is not None else "",
-            rec.interface_defect,
-            rec.layer_iterations,
-            rec.layer_residual,
-        ]
-
-
-_INTERFACE_HEADER = [
-    "time",
-    "flux_out",
-    "v",
-    "u_trace",
-    "layer_flux",
-    "cone_defect",
-    "layer_class",
-    "interface_defect",
-    "layer_iterations",
-    "layer_residual",
-]
+        row = [getattr(rec, name) for name in _INTERFACE_HEADER]
+        yield ["" if v is None else v for v in row]
 
 
 def _extra_number(raw: dict, key: str, default, kind: type, least):
@@ -332,11 +312,7 @@ def _cmd_compare(raw: dict, out: Path) -> list[str]:
     naive_failed = naive_error is not None
     rows = []
     for a, b in zip(lim_snaps, nav_snaps):
-        dist = (
-            float(np.abs(a.kinetic_values - b.kinetic_values).sum()) * a.kinetic_measure
-            + float(np.abs(a.fluid_values - b.fluid_values).sum()) * a.fluid_measure
-        )
-        rows.append([a.time, dist, a.fluid_values[0], b.fluid_values[0]])
+        rows.append([a.time, snapshot_distance(a, b), a.fluid_values[0], b.fluid_values[0]])
     _write_csv(
         out / "comparison.csv",
         ["time", "l1_distance", "limit_u_first_cell", "naive_u_first_cell"],

@@ -14,11 +14,12 @@ step, all evaluated on the data available at the step boundary:
 3. the layer's returning slice F(0, xi < 0) feeds the kinetic domain as its
    right-edge inflow.
 
-With warm start on, a shock-class solve starts from the previous step's
-layer L_n, or, when the two previous steps were both shock class, from its
-linear extrapolation in time 2 L_n - L_(n-1).  The state keeps L_(n-1)'s
-values for that, and drops them on any other step.  Where the far rows of
-the two layers agree (V constant), the extrapolation keeps them exactly.
+A shock-class solve starts from the previous step's layer L_n, or, when
+the two previous steps were both shock class, from its linear extrapolation
+in time 2 L_n - L_(n-1); only the first step's solve starts cold.  The
+state keeps L_(n-1)'s values for that, and drops them on any other step.
+Where the far rows of the two layers agree (V constant), the extrapolation
+keeps them exactly.
 
 The naive variant skips the admissibility mechanism entirely: it imposes the
 kinetic outflux directly as the positive part of the fluid boundary flux and
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import SOLVER_ERRORS, ConeError
+from .errors import SOLVER_ERRORS
 from .fluid import (
     FluidField,
     boundary_trace,
@@ -50,6 +51,9 @@ from .kinetic import (
     step as kinetic_step,
 )
 from .milne import (
+    MAX_ITER,
+    TOL_CLASS,
+    TOL_FIX,
     LayerClass,
     LayerGrid,
     LayerData,
@@ -70,6 +74,7 @@ __all__ = [
     "run_coupled",
     "MarchPrefix",
     "Snapshot",
+    "snapshot_distance",
     "ContractionReport",
     "contraction_check",
 ]
@@ -77,14 +82,16 @@ __all__ = [
 
 @dataclass
 class CouplingParams:
-    """Knobs of the interface exchange, with the defaults used everywhere."""
+    """Layer grid and solver tolerances of the interface exchange.
+
+    The tolerances default to the layer solver's own (milne.TOL_FIX,
+    MAX_ITER and TOL_CLASS).
+    """
 
     layer_grid: LayerGrid
-    tol_fix: float = 1e-8
-    max_iter: int = 10000
-    tol_class: float = 1e-8
-    warm_start: bool = True
-    cone_defect_tol: float | None = None   # default: largest flux the velocity interval carries
+    tol_fix: float = TOL_FIX
+    max_iter: int = MAX_ITER
+    tol_class: float = TOL_CLASS
 
 
 @dataclass
@@ -163,11 +170,11 @@ def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> Coup
     The flux V handed to the layer is projected onto the admissible cone
     when the first-cell trace transiently undershoots the incoming flux
     (an O(dx) effect while a boundary wave crosses the first cell); the raw
-    defect is logged, and a defect beyond cone_defect_tol raises, since no
-    admissible trace can be that far inside the cone boundary.
+    defect is logged.  A V beyond the largest flux the velocity interval
+    carries raises ConeError in LayerData.
     """
     kin, fluid = state.kinetic, state.fluid
-    g = outgoing_trace(kin, "right")
+    g = outgoing_trace(kin)
     flux_out = flux_moment(g)
     v = float(np.sqrt(max(2.0 * flux_out, 0.0)))
 
@@ -176,13 +183,6 @@ def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> Coup
 
     v_raw = 0.5 * u0 * u0
     cone_defect = max(0.0, flux_out - v_raw)
-    tol_cone = params.cone_defect_tol
-    if tol_cone is None:
-        tol_cone = 0.5 * kin.velocity.half_width**2
-    if cone_defect > tol_cone:
-        raise ConeError(
-            f"fluid trace {u0} sits {cone_defect:.3e} inside the layer cone boundary"
-        )
     layer_flux = max(v_raw, flux_out)
 
     data = LayerData(layer_flux, g)
@@ -198,13 +198,11 @@ def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> Coup
         # never marched to be kept as L_(n-1)
         after_shock = state.layer is not None and state.layer.classification is LayerClass.SHOCK
         previous = state.layer.values if after_shock else None
-        warm = None
-        if params.warm_start and state.layer is not None:
-            warm = state.layer.values
-            if after_shock and state.previous_layer_values is not None:
-                # the two steps before were shock class: 2 L_n - L_(n-1)
-                warm = np.multiply(warm, 2.0)
-                warm -= state.previous_layer_values
+        warm = None if state.layer is None else state.layer.values
+        if after_shock and state.previous_layer_values is not None:
+            # the two steps before were shock class: 2 L_n - L_(n-1)
+            warm = np.multiply(warm, 2.0)
+            warm -= state.previous_layer_values
         layer = solve_layer(
             data,
             grid=params.layer_grid,
@@ -248,7 +246,7 @@ def naive_coupled_step(state: CoupledState, dt: float) -> CoupledState:
     """
     kin, fluid = state.kinetic, state.fluid
     vgrid = kin.velocity
-    g = outgoing_trace(kin, "right")
+    g = outgoing_trace(kin)
     flux_out = flux_moment(g)
 
     u_first = fluid.values[0]
@@ -343,6 +341,13 @@ def state_distance(a: CoupledState, b: CoupledState) -> float:
     return l1_field_distance(a.kinetic, b.kinetic) + l1_fluid_distance(a.fluid, b.fluid)
 
 
+def snapshot_distance(a: Snapshot, b: Snapshot) -> float:
+    """Combined L1 distance of two snapshots on common grids: kinetic (x, xi) plus fluid x."""
+    dk = float(np.abs(a.kinetic_values - b.kinetic_values).sum()) * a.kinetic_measure
+    df = float(np.abs(a.fluid_values - b.fluid_values).sum()) * a.fluid_measure
+    return dk + df
+
+
 @dataclass
 class ContractionReport:
     times: np.ndarray
@@ -378,8 +383,6 @@ def contraction_check(
     for k, (a, b) in enumerate(zip(first, second)):
         if a.kinetic_values.shape != b.kinetic_values.shape or a.fluid_values.shape != b.fluid_values.shape:
             raise ValueError("snapshot shapes differ between the trajectories")
-        dk = np.abs(a.kinetic_values - b.kinetic_values).sum() * a.kinetic_measure
-        df = np.abs(a.fluid_values - b.fluid_values).sum() * a.fluid_measure
-        dist[k] = dk + df
+        dist[k] = snapshot_distance(a, b)
     ok = bool(np.all(dist <= dist[0] * (1.0 + slack) + 1e-14))
     return ContractionReport(times=times, distances=dist, slack=slack, ok=ok)

@@ -12,7 +12,7 @@ rescaled layer variables y = x / eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field as dc_field
+from dataclasses import dataclass, asdict, field as dc_field, fields
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -35,7 +35,7 @@ from .kinetic import (
     StiffnessProfile,
     run_with_history,
 )
-from .milne import LayerGrid
+from .milne import MAX_ITER, TOL_CLASS, TOL_FIX, LayerGrid
 from .velocity import VelocityGrid, maxwellian_table, maxwellian_values
 
 __all__ = [
@@ -55,6 +55,23 @@ __all__ = [
 ]
 
 FAMILIES = ("equilibrium", "relaxation", "shock", "steady_shock")
+COMPARE_Y_MAX = 8.0     # layer-region comparison window in y (shock family)
+SWEEP_WINDOW_Y = 0.5    # negative-mass window in y (steady shock family)
+
+
+def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
+    """A finite int or float; bool, NaN and infinities are not numbers here."""
+    return isinstance(value, kinds) and not isinstance(value, bool) and abs(value) < np.inf
+
+
+# ScenarioConfig field annotation -> (accepts the value, what it must be)
+_FIELD_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (lambda v: _is_number(v, (int, np.integer)), "an integer"),
+    "float": (_is_number, "a finite number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "tuple[float, ...]": (lambda v: isinstance(v, (tuple, list)) and all(map(_is_number, v)), "a list of finite numbers"),
+}
 
 
 @dataclass(frozen=True)
@@ -75,17 +92,21 @@ class ScenarioConfig:
     epsilons: tuple[float, ...] = (0.2, 0.1, 0.05)
     layer_y_max: float = 20.0
     layer_n_y: int = 400
-    compare_y_max: float = 8.0        # layer-region comparison window (shock family)
-    sweep_window_y: float = 0.5       # negative-mass window (steady shock family)
-    tol_fix: float = 1e-8
-    max_iter: int = 10000
-    tol_class: float = 1e-8
-    warm_start: bool = True
-    refine_full_runs: bool = True     # scale dx with eps so the layer stays resolved
+    tol_fix: float = TOL_FIX
+    max_iter: int = MAX_ITER
+    tol_class: float = TOL_CLASS
     seed: int = 0
 
     def validate(self) -> None:
         items: list[str] = []
+        for f in fields(self):
+            accepts, what = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                items.append(f"{f.name}: must be {what}, got {value!r}")
+        if items:
+            # the range checks below would fail on a value of the wrong type
+            raise ConfigError(items)
         if self.scenario not in FAMILIES:
             items.append(f"scenario: must be one of {FAMILIES}, got {self.scenario!r}")
         if self.half_width <= 0:
@@ -118,8 +139,8 @@ class ScenarioConfig:
             items.append("layer: y_max and n_y must be positive")
         if self.tol_fix <= 0 or self.tol_class <= 0 or self.max_iter <= 0:
             items.append("tolerances: tol_fix, tol_class, max_iter must be positive")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            items.append(f"seed: must be an integer of at least 0, got {self.seed!r}")
+        if self.seed < 0:
+            items.append(f"seed: must be at least 0, got {self.seed}")
         if items:
             raise ConfigError(items)
 
@@ -210,8 +231,6 @@ def coupling_params_of(config: ScenarioConfig) -> CouplingParams:
         tol_fix=config.tol_fix,
         max_iter=config.max_iter,
         tol_class=config.tol_class,
-        warm_start=config.warm_start,
-        cone_defect_tol=0.5 * config.half_width**2,
     )
 
 
@@ -302,8 +321,6 @@ def _strictly_decreasing(seq: list[float]) -> bool:
 
 def _run_scale(config: ScenarioConfig, eps: float) -> int:
     """Refinement factor keeping dx/eps at its value for the largest eps."""
-    if not config.refine_full_runs:
-        return 1
     return max(1, int(np.ceil(max(config.epsilons) / eps - 1e-9)))
 
 
@@ -354,8 +371,8 @@ def run_convergence_study(config: ScenarioConfig, jobs: int = 1) -> ConvergenceR
     limit_kin = limit_state.kinetic.values
     limit_u = limit_state.fluid.values
     right_centers = fullgrid.centers[n_left:]
-    compare_grid = LayerGrid(config.compare_y_max, max(1, int(round(config.compare_y_max / config.layer_grid().dy))))
-    sweep_grid = LayerGrid(config.sweep_window_y, max(1, int(round(config.sweep_window_y / config.layer_grid().dy))))
+    compare_grid = LayerGrid(COMPARE_Y_MAX, max(1, int(round(COMPARE_Y_MAX / config.layer_grid().dy))))
+    sweep_grid = LayerGrid(SWEEP_WINDOW_Y, max(1, int(round(SWEEP_WINDOW_Y / config.layer_grid().dy))))
 
     for eps, scale, fine_values in zip(config.epsilons, scales, finals):
         values = _restrict(fine_values, scale)

@@ -195,22 +195,10 @@ def step(field: KineticField, bc: InflowBoundary, stiffness: StiffnessProfile, d
     return KineticField(field.space, vgrid, eq, field.time + dt)
 
 
-def outgoing_trace(field: KineticField, edge: str) -> DiscreteDistribution:
-    """Boundary-cell values on the outgoing half-range; the other half is zeroed.
-
-    edge="right" returns the xi > 0 slice of the last cell (what leaves
-    through x_max), edge="left" the xi < 0 slice of the first cell.
-    """
+def outgoing_trace(field: KineticField) -> DiscreteDistribution:
+    """What leaves through x_max: the last cell's xi > 0 slice, the xi < 0 half zeroed."""
     vgrid = field.velocity
-    if edge == "right":
-        slice_ = field.values[-1]
-        mask = vgrid.positive
-    elif edge == "left":
-        slice_ = field.values[0]
-        mask = ~vgrid.positive
-    else:
-        raise ValueError(f"edge must be 'left' or 'right', got {edge!r}")
-    return DiscreteDistribution(vgrid, np.where(mask, slice_, 0.0))
+    return DiscreteDistribution(vgrid, np.where(vgrid.positive, field.values[-1], 0.0))
 
 
 def l1_field_distance(a: KineticField, b: KineticField) -> float:

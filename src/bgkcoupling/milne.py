@@ -51,7 +51,6 @@ from .velocity import (
     _covered_shares,
     check_admissible,
     flux_moment,
-    maxwellian,
     maxwellian_values,
 )
 
@@ -128,7 +127,6 @@ class LayerProfile:
     values: np.ndarray                    # (n_nodes, n_xi)
     classification: LayerClass
     u_infinity: float
-    far_field: DiscreteDistribution
     iterations: int = 0
     last_change: float = float("nan")
     min_increment: float = float("nan")   # most negative pointwise step over the monotone run
@@ -400,7 +398,7 @@ def solve_layer(
     point.  Either way the stop test is the change of one sweep, the
     returned profile is a sweep output G(x), and iterations counts sweeps.
 
-    Returns the profile with its classification, far field, and diagnostics.
+    Returns the profile with its classification, far state, and diagnostics.
     """
     if grid is None:
         grid = LayerGrid(20.0, 400)
@@ -454,7 +452,6 @@ def solve_layer(
         values=values,
         classification=classification,
         u_infinity=u_inf,
-        far_field=maxwellian(u_inf, vgrid),
         iterations=iteration,
         last_change=last_change,
         min_increment=float(min_increment) if cold else float("nan"),
@@ -535,7 +532,6 @@ def relaxation_layer_profile(
         values=values,
         classification=LayerClass.RELAXATION,
         u_infinity=u_inf,
-        far_field=maxwellian(u_inf, vgrid),
         iterations=1,
         last_change=residual,
         min_increment=float("nan"),

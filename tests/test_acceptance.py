@@ -150,7 +150,7 @@ def test_criterion_07_l1_contraction():
 
 def test_criterion_08_hydrodynamic_limit_ladder():
     # horizon 2.0 lets the slowest family reach its asymptotic regime on the
-    # default domain; the ladder refines dx with eps (refine_full_runs)
+    # default domain; the ladder refines dx with eps (experiments._run_scale)
     ok = True
     for scenario in ("steady_shock", "shock"):
         report = run_convergence_study(ScenarioConfig(scenario=scenario, horizon=2.0))
@@ -200,7 +200,7 @@ def duhamel_discrepancy(n_x, dt, n_steps):
     bc = InflowBoundary(left=left, right=np.zeros(vgrid.n_cells))
     history = run_with_history(field, bc, StiffnessProfile.uniform(sgrid, 1.0), dt, n_steps)
     t = n_steps * dt
-    trace = outgoing_trace(history.final, "right")
+    trace = outgoing_trace(history.final)
     oracle = duhamel_trace_oracle(history, t, inflow_left=left)
     return l1_distance(trace, oracle)
 

@@ -74,9 +74,24 @@ def test_coupled_outputs_have_headers(tmp_path):
     assert summary["n_steps"] * summary["dt"] == pytest.approx(SMALL["horizon"], abs=1e-14)
 
 
-def test_unknown_config_key_is_config_error(tmp_path):
-    cfg = write_config(tmp_path, bogus=1)
-    assert main(["coupled", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("bogus", 1),
+        # removed options: the march always warm-starts and refines, and
+        # the ladder's comparison windows are fixed
+        ("warm_start", "no"),
+        ("refine_full_runs", "no"),
+        ("compare_y_max", -1),
+        ("sweep_window_y", 0),
+    ],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    out = tmp_path / "o"
+    assert main(["epsilon-sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_missing_config_file_is_config_error(tmp_path):
@@ -202,4 +217,22 @@ def test_invalid_seed_is_config_error(tmp_path, seed):
     cfg = write_config(tmp_path, scenario="relaxation", horizon=0.05, seed=seed)
     out = tmp_path / "out"
     assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, command",
+    [
+        ("n_x", "abc", "coupled"),
+        ("horizon", "1", "coupled"),
+        ("epsilons", 5, "epsilon-sweep"),
+        # JSON's NaN passes every range check written as a comparison
+        ("layer_y_max", float("nan"), "coupled"),
+    ],
+)
+def test_wrong_typed_value_is_config_error(tmp_path, capsys, key, value, command):
+    cfg = write_config(tmp_path, scenario="relaxation", **{key: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {key}: must be" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()

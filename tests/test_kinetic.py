@@ -186,11 +186,9 @@ def test_step_checks_only_the_read_half_of_each_inflow(side):
 def test_outgoing_trace_masks():
     rng = np.random.default_rng(2)
     fld = random_field(rng)
-    tr = outgoing_trace(fld, "right")
+    tr = outgoing_trace(fld)
     assert np.all(tr.values[~VG.positive] == 0)
     np.testing.assert_array_equal(tr.values[VG.positive], fld.values[-1, VG.positive])
-    with pytest.raises(ValueError):
-        outgoing_trace(fld, "top")
 
 
 def test_history_snapshots():
@@ -211,7 +209,7 @@ def test_duhamel_oracle_equilibrium_exact():
     dt = stable_dt(SG, VG)
     hist = run_with_history(fld, bc, StiffnessProfile.uniform(SG, 1.0), dt, 25)
     oracle = duhamel_trace_oracle(hist, 25 * dt, inflow_left=row)
-    trace = outgoing_trace(hist.final, "right")
+    trace = outgoing_trace(hist.final)
     assert l1_distance(oracle, trace) < 1e-12
 
 
