@@ -34,9 +34,9 @@ from .coupling import InterfaceRecord, run_coupled, snapshot_distance, state_dis
 from .errors import SOLVER_ERRORS, ConfigError
 from .experiments import (
     ScenarioConfig,
+    _is_number,
     build_coupled_initial,
     config_to_dict,
-    coupling_params_of,
     run_convergence_study,
     scenario_dt,
     stability_study,
@@ -52,6 +52,8 @@ from .velocity import (
 
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
 _EXTRA_KEYS = {"layer_data", "log_every", "pair_seed", "slack"}
+# layer_data.incoming kind -> the keys that kind reads besides "kind"
+_INCOMING_KEYS = {"maxwellian": {"u"}, "indicator": {"lo", "hi", "height"}, "zero": set()}
 
 
 def _fmt(x: float) -> str:
@@ -68,14 +70,27 @@ def parse_config(path: str | None) -> dict:
         raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: {path} is not valid JSON: {exc}"]) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(["config: top level must be a JSON object"])
-    unknown = sorted(set(raw) - _CONFIG_KEYS - _EXTRA_KEYS)
-    if unknown:
-        raise ConfigError([f"config: unknown key {k!r}" for k in unknown])
+    _check_keys(raw, "config", _CONFIG_KEYS | _EXTRA_KEYS)
     if isinstance(raw.get("epsilons"), list):
         raw["epsilons"] = tuple(raw["epsilons"])
     return raw
+
+
+def _check_keys(block, where: str, known: set[str]) -> None:
+    """ConfigError unless block is a JSON object holding only known keys."""
+    if not isinstance(block, dict):
+        raise ConfigError([f"{where}: must be a JSON object, got {block!r}"])
+    unknown = sorted(set(block) - known)
+    if unknown:
+        raise ConfigError([f"{where}: unknown key {k!r}" for k in unknown])
+
+
+def _block_number(block: dict, key: str, default: float, where: str) -> float:
+    """block[key] (default when absent) as a float; ConfigError unless a finite number."""
+    value = block.get(key, default)
+    if not _is_number(value):
+        raise ConfigError([f"{where}.{key}: must be a finite number, got {value!r}"])
+    return float(value)
 
 
 def scenario_from(raw: dict) -> ScenarioConfig:
@@ -86,17 +101,23 @@ def scenario_from(raw: dict) -> ScenarioConfig:
 
 def _incoming_from(block: dict, cfg: ScenarioConfig) -> DiscreteDistribution:
     """Build the half-range layer inflow described by the config block."""
-    vgrid = cfg.velocity_grid()
+    where = "layer_data.incoming"
+    if not isinstance(block, dict):
+        raise ConfigError([f"{where}: must be a JSON object, got {block!r}"])
     kind = block.get("kind", "maxwellian")
+    if not isinstance(kind, str) or kind not in _INCOMING_KEYS:
+        raise ConfigError([f"{where}.kind: unknown kind {kind!r}"])
+    _check_keys(block, where, {"kind"} | _INCOMING_KEYS[kind])
+    vgrid = cfg.velocity_grid()
     if kind == "maxwellian":
-        u = float(block.get("u", cfg.u_plus))
+        u = _block_number(block, "u", cfg.u_plus, where)
         if not 0.0 <= u <= vgrid.half_width:
             raise ConfigError([f"layer_data.incoming.u: must lie in [0, {vgrid.half_width}], got {u}"])
         return maxwellian(u, vgrid)
     if kind == "indicator":
-        lo = float(block.get("lo", 0.0))
-        hi = float(block.get("hi", cfg.u_plus))
-        height = float(block.get("height", 1.0))
+        lo = _block_number(block, "lo", 0.0, where)
+        hi = _block_number(block, "hi", cfg.u_plus, where)
+        height = _block_number(block, "height", 1.0, where)
         if not 0.0 <= lo < hi <= vgrid.half_width:
             raise ConfigError([f"layer_data.incoming: need 0 <= lo < hi <= {vgrid.half_width}, got ({lo}, {hi})"])
         if not 0.0 <= height <= 1.0:
@@ -104,9 +125,7 @@ def _incoming_from(block: dict, cfg: ScenarioConfig) -> DiscreteDistribution:
         values = height * indicator_cell_average(lo, hi, vgrid)
         exact_flux = height * float(indicator_cell_flux(lo, hi, vgrid).sum())
         return DiscreteDistribution(vgrid, values, exact_flux - flux_of(values, vgrid))
-    if kind == "zero":
-        return DiscreteDistribution(vgrid, np.zeros(vgrid.n_cells))
-    raise ConfigError([f"layer_data.incoming.kind: unknown kind {kind!r}"])
+    return DiscreteDistribution(vgrid, np.zeros(vgrid.n_cells))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -122,8 +141,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_manifest(
-    out: Path, command: str, resolved: dict, outputs: list[str], error: str | None = None
+    out: Path, command: str, raw: dict, outputs: list[str], error: str | None = None
 ) -> None:
+    """manifest.json: the resolved config (scenario plus the extra keys given) and its hash."""
+    resolved = config_to_dict(scenario_from(raw))
+    resolved["_extras"] = {k: raw[k] for k in sorted(_EXTRA_KEYS & set(raw))}
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     payload = {
         "command": command,
@@ -173,12 +195,11 @@ def _extra_number(raw: dict, key: str, default, kind: type, least):
 def _cmd_layer(raw: dict, out: Path) -> list[str]:
     cfg = scenario_from(raw)
     block = raw.get("layer_data", {})
+    _check_keys(block, "layer_data", {"flux", "incoming"})
     incoming = _incoming_from(block.get("incoming", {}), cfg)
-    flux = float(block.get("flux", cfg.u_plus**2 / 2.0))
+    flux = _block_number(block, "flux", cfg.u_plus**2 / 2.0, "layer_data")
     data = LayerData(flux=flux, incoming=incoming)
-    profile = solve_layer(
-        data, cfg.layer_grid(), tol_fix=cfg.tol_fix, max_iter=cfg.max_iter, tol_class=cfg.tol_class
-    )
+    profile = solve_layer(data, cfg.layer_grid())
     vgrid = cfg.velocity_grid()
     header = ["y", *[f"xi_{c:+.6f}" for c in vgrid.centers]]
     _write_csv(out / "layer_profile.csv", header, _field_csv_rows(profile.grid.nodes, profile.values))
@@ -202,11 +223,11 @@ def _cmd_layer(raw: dict, out: Path) -> list[str]:
 def _run_march(raw: dict, out: Path, mode: str) -> list[str]:
     cfg = scenario_from(raw)
     state = build_coupled_initial(cfg)
-    params = coupling_params_of(cfg)
+    layer_grid = cfg.layer_grid()
     dt, n_steps = scenario_dt(cfg)
     log_every = _extra_number(raw, "log_every", 0, int, least=0)
     try:
-        final, snaps = run_coupled(state, dt, n_steps, params, mode=mode, log_every=log_every)
+        final, snaps = run_coupled(state, dt, n_steps, layer_grid, mode=mode, log_every=log_every)
     except SOLVER_ERRORS as exc:
         # write what the march reached; main then marks the manifest FAILED
         prefix = exc.march_prefix
@@ -290,12 +311,12 @@ def _cmd_stability(raw: dict, out: Path) -> list[str]:
 
 def _cmd_compare(raw: dict, out: Path) -> list[str]:
     cfg = scenario_from(raw)
-    params = coupling_params_of(cfg)
+    layer_grid = cfg.layer_grid()
     dt, n_steps = scenario_dt(cfg)
     log_every = _extra_number(raw, "log_every", max(1, n_steps // 50), int, least=1)
 
     def march(mode: str):
-        return run_coupled(build_coupled_initial(cfg), dt, n_steps, params, mode=mode, log_every=log_every)
+        return run_coupled(build_coupled_initial(cfg), dt, n_steps, layer_grid, mode=mode, log_every=log_every)
 
     lim_final, lim_snaps = march("limit")
     # The naive exchange can blow up in finite time (the boundary flux
@@ -381,9 +402,7 @@ def main(argv: list[str] | None = None) -> int:
             outputs = _cmd_stability(raw, out)
         else:
             outputs = _cmd_compare(raw, out)
-        resolved = config_to_dict(scenario_from(raw))
-        resolved["_extras"] = {k: raw[k] for k in sorted(_EXTRA_KEYS & set(raw))}
-        _write_manifest(out, args.command, resolved, outputs + ["manifest.json"])
+        _write_manifest(out, args.command, raw, outputs + ["manifest.json"])
     except ConfigError as exc:
         for item in exc.items:
             print(f"config error: {item}", file=sys.stderr)
@@ -392,10 +411,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         # flush whatever partial artifacts exist, marked as failed
         try:
-            resolved = config_to_dict(scenario_from(raw))
-            resolved["_extras"] = {k: raw[k] for k in sorted(_EXTRA_KEYS & set(raw))}
             partial = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
-            _write_manifest(out, args.command, resolved, partial + ["manifest.json"], error=str(exc))
+            _write_manifest(out, args.command, raw, partial + ["manifest.json"], error=str(exc))
         except (OSError, ConfigError):
             pass
         return 3

@@ -51,9 +51,6 @@ from .kinetic import (
     step as kinetic_step,
 )
 from .milne import (
-    MAX_ITER,
-    TOL_CLASS,
-    TOL_FIX,
     LayerClass,
     LayerGrid,
     LayerData,
@@ -66,7 +63,6 @@ from .milne import (
 from .velocity import flux_moment, maxwellian_values
 
 __all__ = [
-    "CouplingParams",
     "InterfaceRecord",
     "CoupledState",
     "coupled_step",
@@ -78,20 +74,6 @@ __all__ = [
     "ContractionReport",
     "contraction_check",
 ]
-
-
-@dataclass
-class CouplingParams:
-    """Layer grid and solver tolerances of the interface exchange.
-
-    The tolerances default to the layer solver's own (milne.TOL_FIX,
-    MAX_ITER and TOL_CLASS).
-    """
-
-    layer_grid: LayerGrid
-    tol_fix: float = TOL_FIX
-    max_iter: int = MAX_ITER
-    tol_class: float = TOL_CLASS
 
 
 @dataclass
@@ -115,14 +97,14 @@ class _DeferredRelaxationLayer:
     """Relaxation-class layer whose profile is marched on first read.
 
     classification is known without the march.  Every other LayerProfile
-    attribute comes from relaxation_layer_profile(data, grid, tol_class),
-    marched once and kept.
+    attribute comes from relaxation_layer_profile(data, grid), marched once
+    and kept.
     """
 
     classification = LayerClass.RELAXATION
 
-    def __init__(self, data: LayerData, grid: LayerGrid, tol_class: float):
-        self._args = (data, grid, tol_class)
+    def __init__(self, data: LayerData, grid: LayerGrid):
+        self._args = (data, grid)
         self._profile: LayerProfile | None = None
 
     def __getattr__(self, name: str):
@@ -164,8 +146,11 @@ def _negative_flux(values: np.ndarray, grid) -> float:
     return grid.dxi * float(np.dot(grid.centers[neg], values[neg]))
 
 
-def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> CoupledState:
+def coupled_step(state: CoupledState, dt: float, layer_grid: LayerGrid) -> CoupledState:
     """Advance the limit system by one step (see the module docstring).
+
+    layer_grid is the grid of the layer solve, whose tolerances are the
+    layer solver's own (milne.TOL_FIX, MAX_ITER and TOL_CLASS).
 
     The flux V handed to the layer is projected onto the admissible cone
     when the first-cell trace transiently undershoots the incoming flux
@@ -186,10 +171,10 @@ def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> Coup
     layer_flux = max(v_raw, flux_out)
 
     data = LayerData(layer_flux, g)
-    if classify(data, params.tol_class) is LayerClass.RELAXATION:
+    if classify(data) is LayerClass.RELAXATION:
         # The returning half-range is identically zero in this class, so the
         # kinetic inflow needs no layer solve and no solver runs this step.
-        layer = _DeferredRelaxationLayer(data, params.layer_grid, params.tol_class)
+        layer = _DeferredRelaxationLayer(data, layer_grid)
         returning = np.zeros(kin.velocity.n_cells)
         iterations, residual = 0, 0.0
         previous = None
@@ -203,14 +188,7 @@ def coupled_step(state: CoupledState, dt: float, params: CouplingParams) -> Coup
             # the two steps before were shock class: 2 L_n - L_(n-1)
             warm = np.multiply(warm, 2.0)
             warm -= state.previous_layer_values
-        layer = solve_layer(
-            data,
-            grid=params.layer_grid,
-            tol_fix=params.tol_fix,
-            max_iter=params.max_iter,
-            tol_class=params.tol_class,
-            start=warm,
-        )
+        layer = solve_layer(data, grid=layer_grid, start=warm)
         returning = back_flux(layer).values
         iterations, residual = layer.iterations, layer.last_change
 
@@ -299,7 +277,7 @@ def run_coupled(
     state: CoupledState,
     dt: float,
     n_steps: int,
-    params: CouplingParams,
+    layer_grid: LayerGrid,
     mode: str = "limit",
     log_every: int = 0,
 ) -> tuple[CoupledState, list[Snapshot]]:
@@ -327,7 +305,7 @@ def run_coupled(
         record(state)
     for n in range(n_steps):
         try:
-            state = coupled_step(state, dt, params) if mode == "limit" else naive_coupled_step(state, dt)
+            state = coupled_step(state, dt, layer_grid) if mode == "limit" else naive_coupled_step(state, dt)
         except SOLVER_ERRORS as exc:
             exc.march_prefix = MarchPrefix(state, snapshots, n, n * dt)
             raise

@@ -20,7 +20,6 @@ import numpy as np
 from .coupling import (
     ContractionReport,
     CoupledState,
-    CouplingParams,
     Snapshot,
     contraction_check,
     run_coupled,
@@ -35,7 +34,7 @@ from .kinetic import (
     StiffnessProfile,
     run_with_history,
 )
-from .milne import MAX_ITER, TOL_CLASS, TOL_FIX, LayerGrid
+from .milne import LayerGrid
 from .velocity import VelocityGrid, maxwellian_table, maxwellian_values
 
 __all__ = [
@@ -92,9 +91,6 @@ class ScenarioConfig:
     epsilons: tuple[float, ...] = (0.2, 0.1, 0.05)
     layer_y_max: float = 20.0
     layer_n_y: int = 400
-    tol_fix: float = TOL_FIX
-    max_iter: int = MAX_ITER
-    tol_class: float = TOL_CLASS
     seed: int = 0
 
     def validate(self) -> None:
@@ -137,8 +133,6 @@ class ScenarioConfig:
             items.append(f"epsilons: must be strictly decreasing, got {self.epsilons}")
         if self.layer_y_max <= 0 or self.layer_n_y <= 0:
             items.append("layer: y_max and n_y must be positive")
-        if self.tol_fix <= 0 or self.tol_class <= 0 or self.max_iter <= 0:
-            items.append("tolerances: tol_fix, tol_class, max_iter must be positive")
         if self.seed < 0:
             items.append(f"seed: must be at least 0, got {self.seed}")
         if items:
@@ -225,13 +219,13 @@ def build_coupled_initial(config: ScenarioConfig) -> CoupledState:
     )
 
 
-def coupling_params_of(config: ScenarioConfig) -> CouplingParams:
-    return CouplingParams(
-        layer_grid=config.layer_grid(),
-        tol_fix=config.tol_fix,
-        max_iter=config.max_iter,
-        tol_class=config.tol_class,
-    )
+def coupling_params_of(config: ScenarioConfig) -> LayerGrid:
+    """The coupled march's one run-level setting, its layer grid.
+
+    run_coupled takes it after n_steps.  The layer solver's tolerances are
+    the milne constants TOL_FIX, MAX_ITER and TOL_CLASS, not settings.
+    """
+    return config.layer_grid()
 
 
 @dataclass
@@ -286,9 +280,9 @@ def run_limit_system(
     config: ScenarioConfig, log_every: int = 0
 ) -> tuple[CoupledState, list[Snapshot]]:
     state = build_coupled_initial(config)
-    params = coupling_params_of(config)
+    layer_grid = config.layer_grid()
     dt, n_steps = scenario_dt(config)
-    return run_coupled(state, dt, n_steps, params, mode="limit", log_every=log_every)
+    return run_coupled(state, dt, n_steps, layer_grid, mode="limit", log_every=log_every)
 
 
 @dataclass
@@ -467,10 +461,10 @@ def stability_study(
     first = random_coupled_state(config, 2 * pair_seed + config.seed)
     second = random_coupled_state(config, 2 * pair_seed + config.seed + 1)
     second = replace_inflow(second, first.far_left_inflow)
-    params = coupling_params_of(config)
+    layer_grid = config.layer_grid()
     dt, n_steps = scenario_dt(config)
-    _, snaps_a = run_coupled(first, dt, n_steps, params, mode="limit", log_every=log_every)
-    _, snaps_b = run_coupled(second, dt, n_steps, params, mode="limit", log_every=log_every)
+    _, snaps_a = run_coupled(first, dt, n_steps, layer_grid, mode="limit", log_every=log_every)
+    _, snaps_b = run_coupled(second, dt, n_steps, layer_grid, mode="limit", log_every=log_every)
     return contraction_check(snaps_a, snaps_b, slack=slack)
 
 

@@ -114,7 +114,7 @@ class LayerData:
         if np.any(self.incoming.values[~grid.positive] != 0.0):
             raise ValueError("incoming profile must be zero on the xi < 0 half-range")
         max_flux = 0.5 * grid.half_width**2
-        if self.flux < -1e-12 or self.flux > max_flux + 1e-12:
+        if not -1e-12 <= self.flux <= max_flux + 1e-12:    # NaN fails it too
             raise ConeError(f"flux {self.flux} outside [0, {max_flux}]")
 
 
@@ -136,15 +136,15 @@ class LayerProfile:
         return self.velocity.dxi * self.values @ self.velocity.centers
 
 
-def classify(data: LayerData, tol_class: float = TOL_CLASS) -> LayerClass:
+def classify(data: LayerData) -> LayerClass:
     """Decide the layer regime from the flux balance.
 
-    Relative tolerance tol_class * max(V, 1) separates the regimes; data with
-    V below the incoming flux beyond that margin is rejected as outside the
+    The margin TOL_CLASS * max(V, 1) separates the regimes; data with V
+    below the incoming flux beyond that margin is rejected as outside the
     admissible cone.
     """
     incoming_flux = flux_moment(data.incoming)
-    margin = tol_class * max(data.flux, 1.0)
+    margin = TOL_CLASS * max(data.flux, 1.0)
     gap = data.flux - incoming_flux
     if gap < -margin:
         raise ConeError(
@@ -374,10 +374,8 @@ def _anderson_mix(
 
 def solve_layer(
     data: LayerData,
-    grid: LayerGrid | None = None,
+    grid: LayerGrid,
     tol_fix: float = TOL_FIX,
-    max_iter: int = MAX_ITER,
-    tol_class: float = TOL_CLASS,
     start: np.ndarray | None = None,
 ) -> LayerProfile:
     """Iterate the sweep to a fixed point.
@@ -385,9 +383,9 @@ def solve_layer(
     Parameters
     ----------
     data : flux and incoming half-range profile; must lie in the admissible cone.
-    grid : layer grid, default [0, 20] with 400 intervals.
-    tol_fix : stop when the sup-over-nodes L1 slice change drops below this.
-    max_iter : bail out (ConvergenceError) after this many sweeps.
+    grid : layer grid on [0, y_max].
+    tol_fix : stop when the sup-over-nodes L1 slice change drops below this;
+        ConvergenceError after MAX_ITER sweeps.
     start : optional warm-start profile, read but never written; when
         omitted the monotone seed for the detected regime is used and
         monotonicity is tracked.
@@ -400,9 +398,7 @@ def solve_layer(
 
     Returns the profile with its classification, far state, and diagnostics.
     """
-    if grid is None:
-        grid = LayerGrid(20.0, 400)
-    classification = classify(data, tol_class)
+    classification = classify(data)
     vgrid = data.incoming.grid
     cold = start is None
     depth = 0 if cold or classification is LayerClass.RELAXATION else _ANDERSON_DEPTH
@@ -421,7 +417,7 @@ def solve_layer(
     min_increment = np.inf if cold else np.nan
     dxi = vgrid.dxi
     last_change = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         slot = iteration % (depth + 1)
         swept = slots[slot]
         golse_iterate(data, grid, values, out=swept)
@@ -441,7 +437,7 @@ def solve_layer(
             values, slots[0] = swept, values
     else:
         raise ConvergenceError(
-            f"layer iteration did not reach {tol_fix} in {max_iter} sweeps", residual=last_change
+            f"layer iteration did not reach {tol_fix} in {MAX_ITER} sweeps", residual=last_change
         )
     u_inf = float(np.sqrt(2.0 * max(data.flux, 0.0)))
     if classification is LayerClass.SHOCK:
@@ -458,11 +454,7 @@ def solve_layer(
     )
 
 
-def relaxation_layer_profile(
-    data: LayerData,
-    grid: LayerGrid | None = None,
-    tol_class: float = TOL_CLASS,
-) -> LayerProfile:
+def relaxation_layer_profile(data: LayerData, grid: LayerGrid) -> LayerProfile:
     """Relaxation-class profile by a single causal march in y.
 
     With the returning half-range identically zero, the mild form becomes
@@ -475,9 +467,7 @@ def relaxation_layer_profile(
     and calls this only when the profile is read.  Raises when the data does
     not classify as relaxation.
     """
-    if grid is None:
-        grid = LayerGrid(20.0, 400)
-    classification = classify(data, tol_class)
+    classification = classify(data)
     if classification is not LayerClass.RELAXATION:
         raise ValueError("causal march applies to relaxation-class data only")
     vgrid = data.incoming.grid

@@ -84,6 +84,10 @@ def test_coupled_outputs_have_headers(tmp_path):
         ("refine_full_runs", "no"),
         ("compare_y_max", -1),
         ("sweep_window_y", 0),
+        # the layer solver's tolerances are constants
+        ("tol_fix", 1e-9),
+        ("max_iter", 5),
+        ("tol_class", 1e-3),
     ],
 )
 def test_unknown_config_key_is_config_error(tmp_path, capsys, key, value):
@@ -91,6 +95,31 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, key, value):
     out = tmp_path / "o"
     assert main(["epsilon-sweep", "--config", cfg, "--out", str(out)]) == 2
     assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "layer_data, message",
+    [
+        ({"flux": "x"}, "layer_data.flux: must be a finite number"),
+        ({"flux": True}, "layer_data.flux: must be a finite number"),
+        # NaN passes LayerData's range test written as two comparisons, and
+        # classify calls it shock class; the sweep never converges
+        ({"flux": float("nan")}, "layer_data.flux: must be a finite number"),
+        ({"flx": 0.5}, "layer_data: unknown key 'flx'"),
+        (5, "layer_data: must be a JSON object"),
+        ({"incoming": 3}, "layer_data.incoming: must be a JSON object"),
+        ({"incoming": {"u": "a"}}, "layer_data.incoming.u: must be a finite number"),
+        ({"incoming": {"kind": "indicator", "height": "h"}}, "layer_data.incoming.height: must be a finite number"),
+        ({"incoming": {"kind": "zero", "u": 0.3}}, "layer_data.incoming: unknown key 'u'"),
+        ({"incoming": {"kind": ["zero"]}}, "layer_data.incoming.kind: unknown kind"),
+    ],
+)
+def test_invalid_layer_data_is_config_error(tmp_path, capsys, layer_data, message):
+    cfg = write_config(tmp_path, layer_data=layer_data)
+    out = tmp_path / "out"
+    assert main(["layer", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

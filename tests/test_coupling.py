@@ -9,7 +9,6 @@ from bgkcoupling import (
     LayerData,
     ConeError,
     CoupledState,
-    CouplingParams,
     FluidField,
     KineticField,
     LayerGrid,
@@ -33,6 +32,7 @@ from bgkcoupling.experiments import (
     coupling_params_of,
     scenario_dt,
 )
+from bgkcoupling.milne import TOL_FIX
 from bgkcoupling.velocity import maxwellian_table
 
 
@@ -256,7 +256,7 @@ def test_extrapolated_shock_solves_are_as_accurate(shock_march_solves):
     solves, _, params = shock_march_solves
     for n, (data, start, profile) in enumerate(solves[:30]):
         assert (start is None) == (n == 0)
-        tight = solve_layer(data, params.layer_grid, tol_fix=1e-13).values
+        tight = solve_layer(data, params, tol_fix=1e-13).values
         assert np.abs(profile.values - tight).max() <= 1e-5, f"step {n}"
 
 
@@ -281,7 +281,7 @@ def test_shock_family_record_contents():
         assert r.layer_flux >= 0.5 * r.u_trace**2 - 1e-10
         assert r.cone_defect >= 0.0
         assert r.interface_defect < 5e-3
-        assert r.layer_residual < config.tol_fix * 1.01
+        assert r.layer_residual < TOL_FIX * 1.01
         assert r.back_flux_values is not None
         vgrid = final.kinetic.velocity
         back = r.back_flux_values
@@ -315,10 +315,10 @@ def test_relaxation_steps_do_not_march_the_layer(monkeypatch):
     assert calls == []
 
 
-def eager_relaxation_layer(before: CoupledState, after: CoupledState, params):
+def eager_relaxation_layer(before: CoupledState, after: CoupledState, layer_grid):
     """March the layer of the relaxation-class step from before to after."""
     data = LayerData(after.trace_log[-1].layer_flux, outgoing_trace(before.kinetic))
-    return relaxation_layer_profile(data, params.layer_grid, params.tol_class)
+    return relaxation_layer_profile(data, layer_grid)
 
 
 def test_deferred_relaxation_layer_matches_eager_march(monkeypatch):
@@ -377,14 +377,14 @@ def test_cone_projection_and_guard():
     inflow = np.where(vgrid.positive, maxwellian_values(0.8, vgrid), 0.0)
     state = CoupledState(kin, fluid, far_left_inflow=inflow)
 
-    stepped = coupled_step(state.copy(), 0.01, CouplingParams(layer_grid=LayerGrid(10.0, 200)))
+    stepped = coupled_step(state.copy(), 0.01, LayerGrid(10.0, 200))
     record = stepped.trace_log[-1]
     assert record.cone_defect > 0.1
     assert record.layer_flux == pytest.approx(record.flux_out, abs=1e-14)
 
     state.fluid = FluidField(fgrid, np.full(40, -1.2))
     with pytest.raises(ConeError):
-        coupled_step(state, 0.01, CouplingParams(layer_grid=LayerGrid(10.0, 200)))
+        coupled_step(state, 0.01, LayerGrid(10.0, 200))
 
 
 def test_snapshot_cadence():

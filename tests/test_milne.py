@@ -51,6 +51,8 @@ def test_layer_data_validation():
         LayerData(0.7, g)  # above the largest flux the velocity interval carries
     with pytest.raises(ConeError):
         LayerData(-0.1, g)
+    with pytest.raises(ConeError):
+        LayerData(float("nan"), g)  # else classify would call it shock class
     bad = DiscreteDistribution(VG, maxwellian_values(-0.5, VG))
     with pytest.raises(ValueError):
         LayerData(0.1, bad)  # nonzero values on the incoming xi < 0 half
@@ -296,7 +298,7 @@ def shock_warm_solve():
             state = coupling.coupled_step(state, dt, params)
     data, start = captured[1]
     assert classify(data) is LayerClass.SHOCK and start is not None
-    return data, start, params.layer_grid
+    return data, start, params
 
 
 @pytest.mark.parametrize("u_in, flux", [(0.6, 0.18), (0.3, 0.18)])
