@@ -22,7 +22,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import fields
@@ -33,6 +32,7 @@ import numpy as np
 from .coupling import InterfaceRecord, run_coupled, snapshot_distance, state_distance
 from .errors import SOLVER_ERRORS, ConfigError
 from .experiments import (
+    _FIELD_TYPES,
     ScenarioConfig,
     _is_number,
     build_coupled_initial,
@@ -175,19 +175,20 @@ def _interface_rows(log):
 
 
 def _extra_number(raw: dict, key: str, default, kind: type, least):
-    """raw[key] (default when absent) converted by kind, int or float.
+    """raw[key] (default when absent) as kind, int or float.
 
-    A value that does not convert, is not finite or is below least is a
-    ConfigError, raised before any work starts.
+    The value must pass the scenario keys' check for that type (a finite
+    number, not a bool; an integer for int) and be at least least.
+    Anything else is a ConfigError, raised before any work starts; nothing
+    is truncated or coerced.
     """
-    try:
-        value = kind(raw.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError([f"{key}: must be {what}, got {raw[key]!r}"]) from None
-    if not (math.isfinite(value) and value >= least):
+    value = raw.get(key, default)
+    accepts, what = _FIELD_TYPES[kind.__name__]
+    if not accepts(value):
+        raise ConfigError([f"{key}: must be {what}, got {value!r}"])
+    if value < least:
         raise ConfigError([f"{key}: must be at least {least}, got {value}"])
-    return value
+    return kind(value)
 
 
 # -- subcommand bodies -----------------------------------------------------

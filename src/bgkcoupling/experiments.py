@@ -13,7 +13,6 @@ rescaled layer variables y = x / eps.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict, field as dc_field, fields
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -352,6 +351,9 @@ def run_convergence_study(config: ScenarioConfig, jobs: int = 1) -> ConvergenceR
     scales = [_run_scale(config, eps) for eps in config.epsilons]
 
     if jobs > 1:
+        # imported here: loading multiprocessing costs every other caller memory and time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             finals = list(pool.map(_full_run_final_worker, [config] * len(config.epsilons), config.epsilons))
     else:

@@ -209,10 +209,14 @@ def l1_field_distance(a: KineticField, b: KineticField) -> float:
 
 @dataclass
 class KineticHistory:
-    """Densities recorded after every step, for trace reconstruction."""
+    """A march's step times, its final field and the snapshots asked for.
+
+    No per-step field or density is kept: a reader that needs a step's
+    field asks for it in snapshot_times.  initial is the field the march
+    started from, not a copy of it.
+    """
 
     times: np.ndarray          # (n_steps + 1,)
-    u: np.ndarray              # (n_steps + 1, n_x)
     initial: KineticField
     final: KineticField
     snapshots: dict[float, np.ndarray]
@@ -226,20 +230,27 @@ def run_with_history(
     n_steps: int,
     snapshot_times: Sequence[float] = (),
 ) -> KineticHistory:
-    """March n_steps and record the density history (and optional snapshots)."""
+    """March n_steps, keeping the final field and the requested snapshots.
+
+    A requested time r is stored from the first step whose time is at least
+    r - dt/2, the start field included, so times[k] is stored as step k.  A
+    time more than dt/2 past the last step is a ValueError, raised before
+    the march starts.
+    """
     times = field.time + dt * np.arange(n_steps + 1)
-    u_hist = np.empty((n_steps + 1, field.space.n_cells))
-    initial = field.copy()
-    u_hist[0] = field.densities()
-    remaining = sorted(snapshot_times)
-    snapshots: dict[float, np.ndarray] = {}
+    due: dict[int, list[float]] = {}
+    for r in sorted(snapshot_times):
+        k = int(np.searchsorted(times, r - 0.5 * dt))
+        if k > n_steps:
+            raise ValueError(f"snapshot time {r} lies more than dt/2 past the last step, {times[-1]}")
+        due.setdefault(k, []).append(r)
+    snapshots = {r: field.values.copy() for r in due.get(0, ())}
     current = field
-    for n in range(n_steps):
+    for n in range(1, n_steps + 1):
         current = step(current, bc, stiffness, dt)
-        u_hist[n + 1] = current.densities()
-        while remaining and current.time >= remaining[0] - 0.5 * dt:
-            snapshots[remaining.pop(0)] = current.values.copy()
-    return KineticHistory(times, u_hist, initial, current, snapshots)
+        for r in due.get(n, ()):
+            snapshots[r] = current.values.copy()
+    return KineticHistory(times, field, current, snapshots)
 
 
 def _exp_weighted_segment(a: float, b: float, t: float, m_a: float, m_b: float) -> float:
@@ -265,11 +276,13 @@ def duhamel_trace_oracle(
     reaching (x_right, xi) at time t: the initial datum decays by e^-t and the
     equilibrium source is accumulated with exact exponential weights between
     recorded steps.  Characteristics that exit through the left end pick up
-    the prescribed inflow value instead of the initial datum.
+    the prescribed inflow value instead of the initial datum.  The density
+    of each step comes from the snapshot taken at that step's time.
 
     Parameters
     ----------
-    history : recorded run (alpha must have been uniformly 1).
+    history : recorded run (alpha must have been uniformly 1) with a snapshot
+        at every step time up to t; a missing one is a ValueError.
     t : evaluation time; must match a recorded time up to roundoff.
     initial_fn : f0(x, xi) as a function; defaults to cell lookup in the
         recorded initial field.
@@ -284,6 +297,7 @@ def duhamel_trace_oracle(
     k_end = int(np.argmin(np.abs(times - t)))
     if abs(times[k_end] - t) > 1e-9:
         raise ValueError(f"t = {t} is not a recorded time")
+    u_steps = _step_densities(history, k_end)
 
     if initial_fn is None:
         def initial_fn(x, xi):  # noqa: F811 - deliberate default closure
@@ -294,8 +308,8 @@ def duhamel_trace_oracle(
     def eq_at(s: float, x: float, j: int) -> float:
         # density at (s, x) by nearest recorded step and containing cell
         k = int(round((s - times[0]) / (times[1] - times[0]))) if len(times) > 1 else 0
-        k = min(max(k, 0), len(times) - 1)
-        u = history.u[k, sgrid.cell_of(x)]
+        k = min(max(k, 0), k_end)
+        u = u_steps[k][sgrid.cell_of(x)]
         return float(maxwellian_values(u, vgrid)[j])
 
     out = np.zeros(vgrid.n_cells)
@@ -323,6 +337,24 @@ def duhamel_trace_oracle(
             acc += _exp_weighted_segment(a, b, t, m_a, m_b)
         out[j] = base + acc
     return DiscreteDistribution(vgrid, out)
+
+
+def _step_densities(history: KineticHistory, k_end: int) -> list[np.ndarray]:
+    """Density of each step 0..k_end, from the snapshot stored at its time."""
+    times = history.times
+    by_step: dict[int, np.ndarray] = {}
+    for r, values in history.snapshots.items():
+        k = int(np.argmin(np.abs(times - r)))
+        if abs(times[k] - r) <= 1e-9:
+            by_step[k] = values
+    missing = [k for k in range(k_end + 1) if k not in by_step]
+    if missing:
+        raise ValueError(
+            f"no snapshot at {len(missing)} step time(s) up to t, the first {times[missing[0]]}; "
+            "run_with_history needs snapshot_times at every step"
+        )
+    dxi = history.initial.velocity.dxi
+    return [dxi * by_step[k].sum(axis=1) for k in range(k_end + 1)]
 
 
 def _cell_of_xi(grid: VelocityGrid, xi: float) -> int:

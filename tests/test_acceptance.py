@@ -4,6 +4,8 @@ Settings mirror the experiments defaults; tolerances are stated inline next
 to each check.  Run with -s to see the per-criterion lines directly.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -191,18 +193,25 @@ def test_criterion_09_coupling_mode_comparison():
     line(9, ok)
 
 
-def duhamel_discrepancy(n_x, dt, n_steps):
+def duhamel_trace_and_oracle(n_x, dt, n_steps):
     sgrid = SpaceGrid(-2.0, 0.0, n_x)
     vgrid = VelocityGrid(1.0, 40)
     u0 = 0.4 + 0.2 * np.sin(np.pi * (sgrid.centers + 1.0))
     field = KineticField(sgrid, vgrid, 0.7 * maxwellian_table(u0, vgrid))
     left = np.where(vgrid.positive, maxwellian_values(0.5, vgrid), 0.0)
     bc = InflowBoundary(left=left, right=np.zeros(vgrid.n_cells))
-    history = run_with_history(field, bc, StiffnessProfile.uniform(sgrid, 1.0), dt, n_steps)
+    # the oracle reads the density of every step from its snapshot
+    history = run_with_history(
+        field, bc, StiffnessProfile.uniform(sgrid, 1.0), dt, n_steps, snapshot_times=dt * np.arange(n_steps + 1)
+    )
     t = n_steps * dt
     trace = outgoing_trace(history.final)
     oracle = duhamel_trace_oracle(history, t, inflow_left=left)
-    return l1_distance(trace, oracle)
+    return trace, oracle
+
+
+def duhamel_discrepancy(n_x, dt, n_steps):
+    return l1_distance(*duhamel_trace_and_oracle(n_x, dt, n_steps))
 
 
 def test_criterion_10_duhamel_refinement():
@@ -211,3 +220,18 @@ def test_criterion_10_duhamel_refinement():
     ratio = fine / coarse
     ok = 0.4 <= ratio <= 0.6
     line(10, ok)
+
+
+@pytest.mark.parametrize(
+    "n_x, dt, n_steps, sha256, discrepancy",
+    [
+        (100, 0.005, 50, "e5a482484fbab7d91d913b4053b58fa242c0e53af0299ea024fb6dfbf6bb402d", 0.010055539365806228),
+        (200, 0.0025, 100, "97ad432c0746f94df16920d3a55489b13c975f087d1578c8d5757811d15846f4", 0.004758744647400961),
+    ],
+)
+def test_criterion_10_oracle_bits_pinned(n_x, dt, n_steps, sha256, discrepancy):
+    # pinned from the oracle that read a per-step density array: reading the
+    # densities from per-step snapshots must give the same bits
+    trace, oracle = duhamel_trace_and_oracle(n_x, dt, n_steps)
+    assert hashlib.sha256(oracle.values.tobytes()).hexdigest() == sha256
+    assert l1_distance(trace, oracle) == discrepancy

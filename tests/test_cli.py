@@ -239,6 +239,21 @@ def test_invalid_stability_extras_are_config_errors(tmp_path, key, value):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("log_every", 2.7), ("log_every", True), ("slack", True), ("pair_seed", "3"), ("pair_seed", 2.0)],
+)
+def test_stability_extras_are_not_coerced(tmp_path, capsys, key, value):
+    # the extras follow the scenario keys' rule: a bool is not a number and an
+    # integer key takes only integers, so nothing is truncated or coerced while
+    # the manifest would record the raw value
+    cfg = write_config(tmp_path, scenario="relaxation", horizon=0.05, **{key: value})
+    out = tmp_path / "out"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {key}: must be" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("seed", [-3, 1.5])
 def test_invalid_seed_is_config_error(tmp_path, seed):
     # stability draws its states from seeds 2 * pair_seed + seed and the next

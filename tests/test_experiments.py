@@ -5,8 +5,14 @@ solver is exercised on coarse grids where the maximum-principle structure
 (ordering, barriers, finite speed) can be checked exactly.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import bgkcoupling
 
 from bgkcoupling import ConfigError, InflowBoundary, KineticField
 from bgkcoupling.kinetic import StiffnessProfile, run_with_history
@@ -240,6 +246,12 @@ def test_convergence_study_needs_a_ladder():
         run_convergence_study(config)
 
 
+def test_convergence_study_workers_match_serial():
+    # the process pool is imported only on this path
+    config = base(scenario="relaxation", horizon=0.1)
+    assert run_convergence_study(config, jobs=2).to_dict() == run_convergence_study(config).to_dict()
+
+
 def test_solve_full_epsilon_rejects_nonpositive_eps():
     with pytest.raises(ConfigError):
         solve_full_epsilon(base(), -0.1)
@@ -252,3 +264,13 @@ def test_build_coupled_initial_regions():
     assert state.fluid.grid.x_min == 0.0
     np.testing.assert_allclose(state.kinetic.densities(), config.u_plus, atol=1e-12)
     np.testing.assert_allclose(state.fluid.values, -config.u_plus, atol=1e-15)
+
+
+def test_import_does_not_load_multiprocessing():
+    # run_convergence_study imports its process pool only when jobs > 1
+    src = str(Path(bgkcoupling.__file__).resolve().parents[1])
+    code = "import sys, bgkcoupling; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Kinetic solver: upwind transport, stiff relaxation, traces, bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,9 +198,65 @@ def test_history_snapshots():
     bc = InflowBoundary()
     dt = stable_dt(SG, VG)
     hist = run_with_history(fld, bc, StiffnessProfile.uniform(SG, 1.0), dt, 10, snapshot_times=[5 * dt])
-    assert hist.u.shape == (11, SG.n_cells)
     assert len(hist.snapshots) == 1
     np.testing.assert_array_equal(hist.initial.values, fld.values)
+
+
+def test_history_snapshot_at_start_is_the_start_field():
+    fld = random_field(np.random.default_rng(4))
+    bc = InflowBoundary()
+    stiffness = StiffnessProfile.uniform(SG, 1.0)
+    dt = stable_dt(SG, VG)
+    hist = run_with_history(fld, bc, stiffness, dt, 3, snapshot_times=(0.0, dt, -dt))
+    np.testing.assert_array_equal(hist.snapshots[0.0], fld.values)
+    np.testing.assert_array_equal(hist.snapshots[-dt], fld.values)
+    np.testing.assert_array_equal(hist.snapshots[dt], step(fld, bc, stiffness, dt).values)
+    assert list(hist.snapshots) == [-dt, 0.0, dt]
+
+
+def test_history_snapshot_past_the_end_raises():
+    fld = random_field(np.random.default_rng(4))
+    dt = stable_dt(SG, VG)
+    stiffness = StiffnessProfile.uniform(SG, 1.0)
+    with pytest.raises(ValueError, match="past the last step"):
+        run_with_history(fld, InflowBoundary(), stiffness, dt, 3, snapshot_times=(dt, 3.6 * dt))
+    # within dt/2 of the last step it is that step
+    hist = run_with_history(fld, InflowBoundary(), stiffness, dt, 3, snapshot_times=(3.4 * dt,))
+    np.testing.assert_array_equal(hist.snapshots[3.4 * dt], hist.final.values)
+
+
+def test_history_final_is_a_plain_step_loop():
+    fld = random_field(np.random.default_rng(5))
+    bc = InflowBoundary(left=np.where(VG.positive, 0.8, 0.0), right=np.where(VG.positive, 0.0, -0.3))
+    stiffness = StiffnessProfile(np.where(SG.centers > -0.5, 10.0, 1.0))
+    dt = stable_dt(SG, VG)
+    hist = run_with_history(fld, bc, stiffness, dt, 40, snapshot_times=(10 * dt,))
+    current = fld
+    for _ in range(40):
+        current = step(current, bc, stiffness, dt)
+    np.testing.assert_array_equal(hist.final.values, current.values)
+    assert hist.final.time == current.time
+    np.testing.assert_array_equal(hist.initial.values, fld.values)
+
+
+def test_history_memory_does_not_grow_with_steps():
+    # the march keeps no per-step record: 4x the steps on one grid may not
+    # raise the traced heap peak by as much as one field
+    sg = SpaceGrid(-1.0, 0.0, 200)
+    fld = random_field(np.random.default_rng(6), sg=sg)
+    stiffness = StiffnessProfile.uniform(sg, 1.0)
+    dt = stable_dt(sg, VG)
+
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            run_with_history(fld, InflowBoundary(), stiffness, dt, n_steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5)  # warm any first-call caches outside the measurement
+    assert peak(200) - peak(50) < fld.values.nbytes
 
 
 def test_duhamel_oracle_equilibrium_exact():
@@ -207,7 +265,9 @@ def test_duhamel_oracle_equilibrium_exact():
     fld = KineticField(SG, VG, np.tile(row, (SG.n_cells, 1)))
     bc = InflowBoundary(left=row, right=row)
     dt = stable_dt(SG, VG)
-    hist = run_with_history(fld, bc, StiffnessProfile.uniform(SG, 1.0), dt, 25)
+    hist = run_with_history(
+        fld, bc, StiffnessProfile.uniform(SG, 1.0), dt, 25, snapshot_times=dt * np.arange(26)
+    )
     oracle = duhamel_trace_oracle(hist, 25 * dt, inflow_left=row)
     trace = outgoing_trace(hist.final)
     assert l1_distance(oracle, trace) < 1e-12
@@ -215,7 +275,9 @@ def test_duhamel_oracle_equilibrium_exact():
 
 def test_duhamel_oracle_time_zero():
     fld = random_field(np.random.default_rng(8))
-    hist = run_with_history(fld, InflowBoundary(), StiffnessProfile.uniform(SG, 1.0), 0.01, 3)
+    hist = run_with_history(
+        fld, InflowBoundary(), StiffnessProfile.uniform(SG, 1.0), 0.01, 3, snapshot_times=0.01 * np.arange(4)
+    )
     oracle = duhamel_trace_oracle(hist, 0.0)
     np.testing.assert_array_equal(
         oracle.values[VG.positive], fld.values[-1, VG.positive]
@@ -224,9 +286,24 @@ def test_duhamel_oracle_time_zero():
 
 def test_duhamel_oracle_unrecorded_time():
     fld = random_field(np.random.default_rng(8))
-    hist = run_with_history(fld, InflowBoundary(), StiffnessProfile.uniform(SG, 1.0), 0.01, 3)
+    hist = run_with_history(
+        fld, InflowBoundary(), StiffnessProfile.uniform(SG, 1.0), 0.01, 3, snapshot_times=0.01 * np.arange(4)
+    )
     with pytest.raises(ValueError):
         duhamel_trace_oracle(hist, 0.0155)
+
+
+def test_duhamel_oracle_needs_a_snapshot_at_every_step():
+    fld = random_field(np.random.default_rng(8))
+    stiffness = StiffnessProfile.uniform(SG, 1.0)
+    bare = run_with_history(fld, InflowBoundary(), stiffness, 0.01, 3)
+    with pytest.raises(ValueError, match="no snapshot"):
+        duhamel_trace_oracle(bare, 0.0)
+    gappy = run_with_history(fld, InflowBoundary(), stiffness, 0.01, 3, snapshot_times=(0.0, 0.01, 0.03))
+    with pytest.raises(ValueError, match="no snapshot"):
+        duhamel_trace_oracle(gappy, 0.03)
+    # steps past t are not needed
+    duhamel_trace_oracle(gappy, 0.01)
 
 
 @settings(max_examples=25, deadline=None)
