@@ -5,12 +5,18 @@ transport, operator splitting, and the exact exponential relaxation update
 from the velocity module.  alpha may jump in x (the stiff-right-half profile
 used in the scale-limit experiments), and inflow values are prescribed on the
 incoming half-range at each end.
+
+KineticField holds f row-major, one row per space cell.  The solver itself
+runs one kernel (_march) for step and run_with_history: it holds f
+velocity-major, one contiguous row per velocity cell, and updates only the
+band of velocity rows that the field, the inflows or the equilibria reach.
+A march transposes the field once each way, and step does the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,8 +24,9 @@ from .errors import CflError, GridMismatchError
 from .velocity import (
     DiscreteDistribution,
     VelocityGrid,
+    _covered_shares,
+    _equilibrium_band,
     check_signed_admissible,
-    maxwellian_table,
     maxwellian_values,
 )
 
@@ -140,59 +147,126 @@ def stable_dt(space: SpaceGrid, velocity: VelocityGrid, cfl: float = 0.9) -> flo
     return cfl * space.dx / velocity.half_width
 
 
-def _transport(field: KineticField, bc: InflowBoundary, dt: float) -> np.ndarray:
-    grid = field.space
-    vgrid = field.velocity
-    xi = vgrid.centers
-    nu = xi * dt / grid.dx
-    if np.abs(nu).max() > 1.0 + 1e-12:
-        raise CflError(f"dt = {dt} exceeds the CFL limit {grid.dx / vgrid.half_width}")
-    f = field.values
-    h = vgrid.half
-    out = f.copy()
-    diff = np.empty((f.shape[0] - 1, h))   # one scratch block for both halves
-    # xi > 0 cells take from the west neighbour, the left ghost feeding row 0
-    np.subtract(f[1:, h:], f[:-1, h:], out=diff)
-    diff *= nu[h:]
-    out[1:, h:] -= diff
-    out[0, h:] -= nu[h:] * (f[0, h:] - _inflow_half(bc.left, slice(h, None)))
-    # xi < 0 cells take from the east neighbour, the right ghost feeding the last row
-    np.subtract(f[1:, :h], f[:-1, :h], out=diff)
-    diff *= nu[:h]
-    out[:-1, :h] -= diff
-    out[-1, :h] -= nu[:h] * (_inflow_half(bc.right, slice(None, h)) - f[-1, :h])
-    return out
-
-
-def _inflow_half(values: np.ndarray | None, half: slice) -> np.ndarray | float:
-    """The read half of an inflow slice, as a view; a missing inflow is 0.0."""
-    return 0.0 if values is None else np.asarray(values, dtype=float)[half]
-
-
 def step(field: KineticField, bc: InflowBoundary, stiffness: StiffnessProfile, dt: float) -> KineticField:
     """Advance one time step: upwind transport, then exact relaxation.
 
-    The inflow slices are validated for admissibility; the interior stays
+    dt must be a nonnegative number (ValueError; dt = 0 leaves the values as
+    they are), the inflow slices admissible on the half each one feeds, the
+    stiffness profile one rate per space cell and dt within the CFL limit;
+    each is checked in that order before any work.  The interior stays
     admissible automatically because both substeps are monotone convex
     updates.  Mass changes only through the boundary fluxes.
+
+    The step is the velocity-major kernel of run_with_history (see _march),
+    with one transpose each way and the band taken from the given field.
     """
-    vgrid = field.velocity
+    _check_dt(dt)
+    (values,) = _march(field, bc, stiffness, dt, 1)
+    return KineticField(field.space, field.velocity, values.T.copy(), field.time + dt)
+
+
+def _check_dt(dt: float) -> None:
+    if not dt >= 0.0:    # NaN fails it too
+        raise ValueError(f"dt must be a nonnegative number, got {dt}")
+
+
+def _march(
+    field: KineticField, bc: InflowBoundary, stiffness: StiffnessProfile, dt: float, n_steps: int
+) -> Iterator[np.ndarray]:
+    """Advance field n_steps, yielding the field after each step as an (n_xi, n_x) array.
+
+    The kernel runs velocity-major: each velocity cell is one contiguous
+    row, and transport, equilibrium and relaxation touch only the rows
+    [lo, hi) that the field's nonzero entries, the nonzero read half of
+    each inflow or the equilibria of a step's densities reach.  The band
+    only grows, and it always holds the split xi = 0.
+
+    Outside the band the buffers hold +0.0, which is what a full-width step
+    gives those rows, bit for bit: there the field and the inflows are
+    zeros of either sign, so the transport t is a zero, the equilibrium
+    share eq is a zero (see velocity._equilibrium_band), and t + w (eq - t)
+    is +0.0 for any weight w >= +0.0.  The sign of a zero changes a density
+    only where every entry of the space cell is a zero, and each of those
+    relaxes to +0.0 as well.  A weight that is negative, -0.0 or not
+    finite breaks this argument and makes the band the full range.
+
+    Each step is the arithmetic of the row-major upwind step, cell by cell,
+    and the density is that step's reduction, dxi * rows.sum(axis=1) on a
+    row-major (n_x, n_xi) copy of the transported field; a march is
+    therefore bitwise a loop of single steps.  The checks run once, before
+    the first step, since nothing they read changes within a march.  The
+    yielded array is the kernel's own buffer, which the next step
+    overwrites.
+    """
+    space, vgrid = field.space, field.velocity
     h = vgrid.half
+    left = bc.left_values(vgrid)
+    right = bc.right_values(vgrid)
     if bc.left is not None:
-        check_signed_admissible(_inflow_half(bc.left, slice(h, None)))
+        check_signed_admissible(left[h:])
     if bc.right is not None:
-        check_signed_admissible(np.negative(_inflow_half(bc.right, slice(None, h))))
-    if stiffness.alpha.shape != (field.space.n_cells,):
+        check_signed_admissible(np.negative(right[:h]))
+    if stiffness.alpha.shape != (space.n_cells,):
         raise GridMismatchError("stiffness profile does not match the space grid")
-    transported = _transport(field, bc, dt)
-    u = vgrid.dxi * transported.sum(axis=1)
-    eq = maxwellian_table(u, vgrid)
+    nu = vgrid.centers * dt / space.dx
+    if np.abs(nu).max() > 1.0 + 1e-12:
+        raise CflError(f"dt = {dt} exceeds the CFL limit {space.dx / vgrid.half_width}")
     w = -np.expm1(-stiffness.alpha * dt)
-    # transported + w (eq - transported), in place in eq
-    eq -= transported
-    eq *= w[:, None]
-    eq += transported
-    return KineticField(field.space, vgrid, eq, field.time + dt)
+
+    n_xi, n_x = vgrid.n_cells, space.n_cells
+    reached = (field.values != 0.0).any(axis=0)
+    reached[h:] |= left[h:] != 0.0
+    reached[:h] |= right[:h] != 0.0
+    columns = np.flatnonzero(reached)
+    lo, hi = (min(h, int(columns[0])), max(h, int(columns[-1]) + 1)) if columns.size else (h, h)
+    if np.signbit(w).any() or not np.isfinite(w).all():
+        lo, hi = 0, n_xi
+    # three buffers, +0.0 outside the band: the field, which each step's
+    # equilibrium and result overwrite, the transported field and its
+    # row-major copy
+    f = np.zeros((n_xi, n_x))
+    f[lo:hi] = field.values[:, lo:hi].T
+    t = np.zeros_like(f)
+    rows = np.zeros((n_x, n_xi))
+    for _ in range(n_steps):
+        _upwind(f, t, lo, hi, h, nu, left, right)
+        rows[:, lo:hi] = t[lo:hi].T
+        u = vgrid.dxi * rows.sum(axis=1)
+        reach_lo, reach_hi = _equilibrium_band(u, vgrid)
+        lo, hi = min(lo, reach_lo), max(hi, reach_hi)
+        # transported + w (eq - transported), in place in the band of f
+        block = f[lo:hi]
+        _covered_shares(u[:, None], u[:, None], vgrid, block.T, lo, hi)
+        np.negative(block[: h - lo], out=block[: h - lo])
+        block -= t[lo:hi]
+        block *= w
+        block += t[lo:hi]
+        yield f
+
+
+def _upwind(
+    f: np.ndarray, t: np.ndarray, lo: int, hi: int, h: int,
+    nu: np.ndarray, left: np.ndarray, right: np.ndarray,
+) -> None:
+    """Donor-cell transport of the velocity rows [lo, hi) of f into t.
+
+    Each half's rows are one flat run of cells, so the neighbour difference
+    is one flat subtract; the differences it takes across a row end land in
+    the boundary cells, which the ghost formulas write last.
+    """
+    nu_rows = nu[:, None]
+    # xi > 0 rows take from the west neighbour, the left ghost feeding cell 0
+    src, dst = f[h:hi], t[h:hi]
+    np.subtract(src.reshape(-1)[1:], src.reshape(-1)[:-1], out=dst.reshape(-1)[1:])
+    dst *= nu_rows[h:hi]
+    np.subtract(src, dst, out=dst)
+    dst[:, 0] = src[:, 0] - nu[h:hi] * (src[:, 0] - left[h:hi])
+    # xi < 0 rows take from the east neighbour, the right ghost feeding the last cell
+    src, dst = f[lo:h], t[lo:h]
+    np.subtract(src.reshape(-1)[1:], src.reshape(-1)[:-1], out=dst.reshape(-1)[:-1])
+    dst *= nu_rows[lo:h]
+    np.subtract(src, dst, out=dst)
+    dst[:, -1] = src[:, -1] - nu[lo:h] * (right[lo:h] - src[:, -1])
 
 
 def outgoing_trace(field: KineticField) -> DiscreteDistribution:
@@ -232,11 +306,15 @@ def run_with_history(
 ) -> KineticHistory:
     """March n_steps, keeping the final field and the requested snapshots.
 
-    A requested time r is stored from the first step whose time is at least
-    r - dt/2, the start field included, so times[k] is stored as step k.  A
-    time more than dt/2 past the last step is a ValueError, raised before
-    the march starts.
+    The march is bitwise a loop of step calls, run as one velocity-major
+    kernel (see _march) that checks dt first, as step does, and the inflows,
+    the stiffness profile and the CFL limit once; n_steps = 0 runs only the
+    dt check.  A requested time r is stored from the first step whose time
+    is at least r - dt/2, the start field included, so times[k] is stored
+    as step k.  A time more than dt/2 past the last step is a ValueError,
+    raised before the march starts.
     """
+    _check_dt(dt)
     times = field.time + dt * np.arange(n_steps + 1)
     due: dict[int, list[float]] = {}
     for r in sorted(snapshot_times):
@@ -245,12 +323,15 @@ def run_with_history(
             raise ValueError(f"snapshot time {r} lies more than dt/2 past the last step, {times[-1]}")
         due.setdefault(k, []).append(r)
     snapshots = {r: field.values.copy() for r in due.get(0, ())}
-    current = field
-    for n in range(1, n_steps + 1):
-        current = step(current, bc, stiffness, dt)
-        for r in due.get(n, ()):
-            snapshots[r] = current.values.copy()
-    return KineticHistory(times, field, current, snapshots)
+    final = field
+    if n_steps > 0:
+        time = field.time
+        for n, values in enumerate(_march(field, bc, stiffness, dt, n_steps), start=1):
+            time += dt
+            for r in due.get(n, ()):
+                snapshots[r] = values.T.copy()
+        final = KineticField(field.space, field.velocity, values.T.copy(), time)
+    return KineticHistory(times, field, final, snapshots)
 
 
 def _exp_weighted_segment(a: float, b: float, t: float, m_a: float, m_b: float) -> float:

@@ -49,6 +49,7 @@ from .velocity import (
     DiscreteDistribution,
     VelocityGrid,
     _covered_shares,
+    _equilibrium_band,
     check_admissible,
     flux_moment,
     maxwellian_values,
@@ -249,22 +250,12 @@ def _scan_lower(y: np.ndarray, powers: tuple[np.ndarray, ...], scratch: np.ndarr
 def _sweep_band(u: np.ndarray, datum: np.ndarray, vgrid: VelocityGrid) -> tuple[int, int]:
     """Block columns [lo, hi) that the source or the boundary datum reaches.
 
-    A xi < 0 column lies below the band when its right edge is strictly
-    below every node density u, and a xi > 0 column above it when its left
-    edge is strictly above every u and its datum is zero.  Edges increase
-    with the column, so both runs are contiguous and the band always holds
-    at least one column next to xi = 0.  A density exactly on an edge keeps
-    that column in the band, and a NaN density keeps every column.
-
-    Outside the band every covered share clips a strictly negative quotient
-    (edge distance / dxi) and is +0.0.  The quotient cannot underflow to
-    -0.0: the distances are to O(1) edges, or, at the edge xi = 0, to a
-    density that is itself dxi times a row sum.
+    The source's band is that of the equilibria of the node densities u
+    (see velocity._equilibrium_band); a xi > 0 column above it stays out
+    only while its datum is zero too, so the band grows to the last nonzero
+    datum column.
     """
-    h = vgrid.half
-    edges = vgrid.edges
-    lo = int(np.count_nonzero(edges[1 : h + 1] < u.min()))
-    hi = vgrid.n_cells - int(np.count_nonzero(edges[h:-1] > u.max()))
+    lo, hi = _equilibrium_band(u, vgrid)
     reached = np.flatnonzero(datum[hi:])
     if reached.size:
         hi += int(reached[-1]) + 1

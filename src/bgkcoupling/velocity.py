@@ -129,7 +129,7 @@ def check_signed_admissible(signed: np.ndarray, tol: float = 1e-12) -> None:
     # + 0.0 drops the sign of a zero bound, which depends on the reduction order
     low = float(signed.min(initial=0.0)) + 0.0
     high = float(signed.max(initial=0.0)) + 0.0
-    if low < -tol or high > 1.0 + tol:
+    if not (low >= -tol and high <= 1.0 + tol):    # a NaN cell makes both NaN and fails it
         raise AdmissibilityError(
             f"distribution outside admissible bounds: sign(xi)*f in [{low:.3e}, {high:.3e}]"
         )
@@ -168,6 +168,29 @@ def _covered_shares(
     out /= grid.dxi
     np.clip(out, 0.0, 1.0, out=out)
     return out
+
+
+def _equilibrium_band(u: np.ndarray, grid: VelocityGrid) -> tuple[int, int]:
+    """Columns [lo, hi) that the equilibria M(u) of the densities u reach.
+
+    A xi < 0 column lies below the band when its right edge is strictly
+    below every density, and a xi > 0 column above it when its left edge is
+    strictly above every density.  Edges increase with the column, so both
+    runs are contiguous and lo <= half <= hi: the band always holds at least
+    one column next to xi = 0.  A density exactly on an edge keeps that
+    column in the band, and a NaN density keeps every column.
+
+    Outside the band every covered share clips a strictly negative quotient
+    (edge distance / dxi) and is +0.0.  The quotient cannot underflow to
+    -0.0 when, as in the layer sweep and the kinetic step, each density is
+    dxi times a row sum: the distances are to O(1) edges, or, at the edge
+    xi = 0, to such a density.
+    """
+    h = grid.half
+    edges = grid.edges
+    lo = int(np.count_nonzero(edges[1 : h + 1] < u.min()))
+    hi = grid.n_cells - int(np.count_nonzero(edges[h:-1] > u.max()))
+    return lo, hi
 
 
 def _indicator_equilibrium(u, grid: VelocityGrid) -> np.ndarray:

@@ -19,12 +19,14 @@ from bgkcoupling import (
     duhamel_trace_oracle,
     l1_distance,
     l1_field_distance,
+    maxwellian_table,
     maxwellian_values,
     outgoing_trace,
     run_with_history,
     stable_dt,
     step,
 )
+from bgkcoupling import kinetic
 
 SG = SpaceGrid(-1.0, 0.0, 50)
 VG = VelocityGrid(1.0, 20)
@@ -85,6 +87,54 @@ def test_cfl_violation_raises():
     bc = InflowBoundary()
     with pytest.raises(CflError):
         step(fld, bc, StiffnessProfile.uniform(SG, 1.0), 1.5 * SG.dx)
+
+
+def dt_case():
+    """M(0.3) on a 10 x 8 grid; a step with dt = -0.05 used to leave a cell at 1.066."""
+    vg = VelocityGrid(1.0, 8)
+    sg = SpaceGrid(-1.0, 0.0, 10)
+    fld = KineticField(sg, vg, np.tile(maxwellian_values(0.3, vg), (sg.n_cells, 1)))
+    # an inadmissible inflow too: the dt check comes before every other
+    bc = InflowBoundary(left=np.where(vg.positive, 1.5, 0.0))
+    return fld, bc, StiffnessProfile.uniform(sg, 1.0)
+
+
+@pytest.mark.parametrize("dt", [np.nan, -0.05, -np.inf], ids=["nan", "negative", "-inf"])
+def test_step_rejects_a_nan_or_negative_dt(dt):
+    # a NaN dt used to pass the CFL test and return an all-NaN field
+    fld, bc, stiffness = dt_case()
+    with pytest.raises(ValueError, match="dt must be a nonnegative number"):
+        step(fld, bc, stiffness, dt)
+
+
+@pytest.mark.parametrize("dt", [np.nan, -0.05], ids=["nan", "negative"])
+def test_run_with_history_rejects_a_nan_or_negative_dt(dt):
+    fld, bc, stiffness = dt_case()
+    for n_steps in (0, 3):
+        with pytest.raises(ValueError, match="dt must be a nonnegative number"):
+            run_with_history(fld, bc, stiffness, dt, n_steps)
+
+
+def test_zero_dt_leaves_the_field_as_it_is():
+    fld = random_field(np.random.default_rng(3))
+    bc = InflowBoundary(left=np.where(VG.positive, 0.8, 0.0), right=np.where(VG.positive, 0.0, -0.3))
+    stiffness = StiffnessProfile.uniform(SG, 5.0)
+    out = step(fld, bc, stiffness, 0.0)
+    np.testing.assert_array_equal(out.values, fld.values)
+    assert out.time == fld.time
+    hist = run_with_history(fld, bc, stiffness, 0.0, 4)
+    np.testing.assert_array_equal(hist.final.values, fld.values)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_step_rejects_a_nan_inflow(side):
+    # NaN bounds used to fail both admissibility tests and pass
+    fld = random_field(np.random.default_rng(2))
+    read = VG.positive if side == "left" else ~VG.positive
+    values = np.where(read, 0.5 if side == "left" else -0.5, 0.0)
+    values[np.flatnonzero(read)[2]] = np.nan
+    with pytest.raises(AdmissibilityError):
+        step(fld, InflowBoundary(**{side: values}), StiffnessProfile.uniform(SG), stable_dt(SG, VG))
 
 
 def test_equilibrium_is_steady():
@@ -225,18 +275,73 @@ def test_history_snapshot_past_the_end_raises():
     np.testing.assert_array_equal(hist.snapshots[3.4 * dt], hist.final.values)
 
 
-def test_history_final_is_a_plain_step_loop():
-    fld = random_field(np.random.default_rng(5))
-    bc = InflowBoundary(left=np.where(VG.positive, 0.8, 0.0), right=np.where(VG.positive, 0.0, -0.3))
-    stiffness = StiffnessProfile(np.where(SG.centers > -0.5, 10.0, 1.0))
-    dt = stable_dt(SG, VG)
-    hist = run_with_history(fld, bc, stiffness, dt, 40, snapshot_times=(10 * dt,))
+def history_start(start, vg, sg, rng):
+    """A start field: a narrow band of equilibria, a random signed field, or a
+    dipole whose densities cancel at first, so its band widens mid-march."""
+    if start == "narrow":
+        return KineticField(sg, vg, maxwellian_table(rng.uniform(-0.15, 0.25, sg.n_cells), vg))
+    if start == "signed":
+        return random_field(rng, sg, vg)
+    values = np.zeros((sg.n_cells, vg.n_cells))
+    values[8:12, vg.half] = 4.0
+    values[8:12, vg.half - 1] = -4.0
+    return KineticField(sg, vg, values)
+
+
+def history_inflow(kind, vg, rng):
+    """No inflow, a partial one (some read cells zero, signed zeros included) or a full one."""
+    if kind == "none":
+        return InflowBoundary()
+    left = rng.uniform(0.0, 1.0, vg.n_cells)
+    right = -rng.uniform(0.0, 1.0, vg.n_cells)
+    if kind == "partial":
+        left[vg.half + 1 :: 2] = -0.0
+        right[: vg.half - 1] = 0.0
+    return InflowBoundary(left=np.where(vg.positive, left, 0.0), right=np.where(vg.positive, 0.0, right))
+
+
+@pytest.mark.parametrize("inflow", ["none", "partial", "full"])
+@pytest.mark.parametrize("n_xi", [2, 6, 20, 80])
+@pytest.mark.parametrize("start", ["narrow", "signed", "dipole"])
+def test_history_final_is_a_plain_step_loop(start, n_xi, inflow):
+    rng = np.random.default_rng(n_xi)
+    vg = VelocityGrid(1.0, n_xi)
+    sg = SpaceGrid(-1.0, 1.0, 20)
+    fld = history_start(start, vg, sg, rng)
+    bc = history_inflow(inflow, vg, rng)
+    stiffness = StiffnessProfile.two_zone(sg, 0.05)
+    dt = stable_dt(sg, vg)
+    n_steps = 24
+    hist = run_with_history(fld, bc, stiffness, dt, n_steps, snapshot_times=dt * np.arange(n_steps + 1))
     current = fld
-    for _ in range(40):
+    for n in range(1, n_steps + 1):
         current = step(current, bc, stiffness, dt)
-    np.testing.assert_array_equal(hist.final.values, current.values)
+        assert hist.snapshots[hist.times[n]].tobytes() == current.values.tobytes()
+    assert hist.final.values.tobytes() == current.values.tobytes()
+    assert hist.final.values.flags.c_contiguous
     assert hist.final.time == current.time
-    np.testing.assert_array_equal(hist.initial.values, fld.values)
+    assert hist.initial is fld
+
+
+def test_dipole_band_widens_mid_march(monkeypatch):
+    # the dipole's densities cancel at first, so the kernel starts on the two
+    # rows next to xi = 0; transport pulls its halves apart and the band
+    # widens once densities cross a cell edge, ten steps in
+    bands = []
+    upwind = kinetic._upwind
+
+    def recording(f, t, lo, hi, *args):
+        bands.append((lo, hi))
+        upwind(f, t, lo, hi, *args)
+
+    monkeypatch.setattr(kinetic, "_upwind", recording)
+    vg = VelocityGrid(1.0, 20)
+    sg = SpaceGrid(-1.0, 1.0, 20)
+    fld = history_start("dipole", vg, sg, np.random.default_rng(0))
+    run_with_history(fld, InflowBoundary(), StiffnessProfile.two_zone(sg, 0.05), stable_dt(sg, vg), 24)
+    assert bands[0] == (9, 11)
+    assert [n for n in range(1, len(bands)) if bands[n] != bands[n - 1]] == [10, 16]
+    assert bands[-1] == (8, 12)
 
 
 def test_history_memory_does_not_grow_with_steps():

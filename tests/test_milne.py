@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgkcoupling import (
+    AdmissibilityError,
     ConeError,
     DiscreteDistribution,
     LayerClass,
@@ -57,6 +58,13 @@ def test_layer_data_validation():
     with pytest.raises(ValueError):
         LayerData(0.1, bad)  # nonzero values on the incoming xi < 0 half
 
+
+
+def test_layer_data_rejects_a_nan_incoming_profile():
+    values = np.where(VG.positive, 0.5, 0.0)
+    values[VG.half + 3] = np.nan
+    with pytest.raises(AdmissibilityError):
+        LayerData(0.1, DiscreteDistribution(VG, values))
 
 def test_classification_regimes():
     g = maxwellian(0.6, VG)

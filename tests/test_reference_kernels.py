@@ -1,9 +1,9 @@
 """The sliced kernels against their boolean-mask reference formulations.
 
-The equilibrium table, the layer sweep and kinetic transport read the two
-velocity half-ranges as contiguous column blocks.  The references below are
-the same arithmetic written with the positive mask, np.where and full-array
-neighbour copies.  Every comparison is bitwise: same dtype, same shape, same
+The equilibrium table and the layer sweep read the two velocity half-ranges
+as contiguous column blocks, and the kinetic step runs velocity-major on the
+band of rows its data reach.  The references below are the same arithmetic
+written with the positive mask, np.where and full-array neighbour copies.  Every comparison is bitwise: same dtype, same shape, same
 bytes (so a signed zero counts too).
 """
 
@@ -28,13 +28,14 @@ from bgkcoupling import (
     stable_dt,
     step,
 )
-from bgkcoupling import milne
+from bgkcoupling import kinetic, milne
 from bgkcoupling.experiments import (
     ScenarioConfig,
     build_coupled_initial,
     coupling_params_of,
     random_coupled_state,
     scenario_dt,
+    solve_full_epsilon,
 )
 from bgkcoupling.milne import _weights
 from bgkcoupling.velocity import maxwellian_table, maxwellian_values
@@ -173,6 +174,46 @@ def test_kinetic_step_matches_mask_reference_bitwise():
     kept = field.values.copy()
     assert_bitwise_equal(step(field, bc, stiffness, dt).values, ref_step(field, bc, stiffness, dt))
     assert_bitwise_equal(field.values, kept)
+
+
+def test_kinetic_step_on_a_narrow_band_matches_mask_reference_bitwise():
+    # equilibria of densities in (-0.2, 0.3) with -0.0 beyond their support,
+    # and inflows on a few cells next to xi = 0: the step updates the 19 of
+    # the 80 velocity rows these reach and must give the rest the
+    # reference's +0.0
+    rng = np.random.default_rng(12)
+    sg = SpaceGrid(-1.0, 1.0, 40)
+    vg = VelocityGrid(1.0, 80)
+    field = KineticField(sg, vg, maxwellian_table(rng.uniform(-0.2, 0.3, sg.n_cells), vg))
+    left = np.zeros(vg.n_cells)
+    left[vg.half : vg.half + 6] = rng.uniform(0.0, 1.0, 6)
+    right = np.full(vg.n_cells, -0.0)
+    right[vg.half - 4 : vg.half] = -rng.uniform(0.0, 1.0, 4)
+    bc = InflowBoundary(left=left, right=right)
+    stiffness = StiffnessProfile.two_zone(sg, 0.1)
+    dt = stable_dt(sg, vg)
+    expected = ref_step(field, bc, stiffness, dt)
+    assert np.count_nonzero(np.abs(expected).sum(axis=0)) <= 22
+    assert_bitwise_equal(step(field, bc, stiffness, dt).values, expected)
+
+
+def test_kinetic_march_bands_steady_shock(monkeypatch):
+    # steady_shock at u_plus 0.6 on 80 velocity cells: M(0.6) and M(-0.6)
+    # fill rows [16, 40) and [40, 64).  After the first step a density lies
+    # one rounding below -0.6, the right edge of row 15, and the band widens.
+    bands = []
+    upwind = kinetic._upwind
+
+    def recording(f, t, lo, hi, *args):
+        bands.append((lo, hi))
+        upwind(f, t, lo, hi, *args)
+
+    monkeypatch.setattr(kinetic, "_upwind", recording)
+    config = ScenarioConfig(scenario="steady_shock")
+    run = solve_full_epsilon(config, 0.2)
+    assert len(bands) == run.n_steps
+    assert bands[0] == (16, 64)
+    assert set(bands[1:]) == {(15, 64)}
 
 
 # -- the one-block sweep on its edge cases ---------------------------------

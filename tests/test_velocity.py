@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgkcoupling import (
+    AdmissibilityError,
     DiscreteDistribution,
     GridMismatchError,
     VelocityGrid,
@@ -22,6 +23,7 @@ from bgkcoupling import (
     maxwellian_values,
     relax_toward_maxwellian,
 )
+from bgkcoupling.velocity import check_signed_admissible
 
 GRID = VelocityGrid(1.0, 40)
 
@@ -107,6 +109,16 @@ def test_check_admissible_catches_sign_violations():
     values[-1] = 1.5  # above the invariant-region ceiling
     with pytest.raises(Exception):
         check_admissible(values, GRID)
+
+
+@pytest.mark.parametrize("where", [0, 3, -1])
+def test_signed_admissibility_rejects_nan(where):
+    signed = np.full(8, 0.5)
+    signed[where] = np.nan
+    with pytest.raises(AdmissibilityError, match="nan"):
+        check_signed_admissible(signed)
+    with pytest.raises(AdmissibilityError):
+        check_admissible(np.where(GRID.positive, signed[0], np.nan), GRID)
 
 
 def test_relaxation_semigroup():
