@@ -8,9 +8,10 @@ incoming half-range at each end.
 
 KineticField holds f row-major, one row per space cell.  The solver itself
 runs one kernel (_march) for step and run_with_history: it holds f
-velocity-major, one contiguous row per velocity cell, and updates only the
-band of velocity rows that the field, the inflows or the equilibria reach.
-A march transposes the field once each way, and step does the same.
+velocity-major, one contiguous row per velocity cell, updates only the band
+of rows that the field, the inflows or the equilibria reach, and sums each
+density over those rows in order.  A march transposes the field once each
+way, and step does the same.
 """
 
 from __future__ import annotations
@@ -107,9 +108,17 @@ class KineticField:
 
 @dataclass(frozen=True)
 class StiffnessProfile:
-    """Relaxation rate alpha per space cell."""
+    """Relaxation rate alpha per space cell; a NaN, infinite or negative rate is a ValueError."""
 
     alpha: np.ndarray
+
+    def __post_init__(self):
+        alpha = np.asarray(self.alpha, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(alpha) & (alpha >= 0.0)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"relaxation rates must be finite and nonnegative, got {alpha[i]} at cell {i}")
+        object.__setattr__(self, "alpha", alpha)
 
     @staticmethod
     def uniform(grid: SpaceGrid, alpha: float = 1.0) -> "StiffnessProfile":
@@ -185,18 +194,17 @@ def _march(
     gives those rows, bit for bit: there the field and the inflows are
     zeros of either sign, so the transport t is a zero, the equilibrium
     share eq is a zero (see velocity._equilibrium_band), and t + w (eq - t)
-    is +0.0 for any weight w >= +0.0.  The sign of a zero changes a density
-    only where every entry of the space cell is a zero, and each of those
-    relaxes to +0.0 as well.  A weight that is negative, -0.0 or not
-    finite breaks this argument and makes the band the full range.
+    is +0.0 for any weight w >= +0.0.  A weight that is negative, -0.0 or
+    not finite breaks this argument and makes the band the full range.
 
-    Each step is the arithmetic of the row-major upwind step, cell by cell,
-    and the density is that step's reduction, dxi * rows.sum(axis=1) on a
-    row-major (n_x, n_xi) copy of the transported field; a march is
-    therefore bitwise a loop of single steps.  The checks run once, before
-    the first step, since nothing they read changes within a march.  The
-    yielded array is the kernel's own buffer, which the next step
-    overwrites.
+    Transport and relaxation are the row-major upwind step's arithmetic,
+    cell by cell.  A cell's density is dxi times its transported entries
+    added one velocity row at a time, in order, from +0.0, at every n_x;
+    the zeros of the rows outside the band change no such sum, which is
+    never -0.0.  step runs this kernel too, so a march is bitwise a loop of
+    single steps.  The checks run once, before the first step, since
+    nothing they read changes within a march.  The yielded array is the
+    kernel's own buffer, which the next step overwrites.
     """
     space, vgrid = field.space, field.velocity
     h = vgrid.half
@@ -221,17 +229,16 @@ def _march(
     lo, hi = (min(h, int(columns[0])), max(h, int(columns[-1]) + 1)) if columns.size else (h, h)
     if np.signbit(w).any() or not np.isfinite(w).all():
         lo, hi = 0, n_xi
-    # three buffers, +0.0 outside the band: the field, which each step's
-    # equilibrium and result overwrite, the transported field and its
-    # row-major copy
+    # two buffers, +0.0 outside the band: the field, which each step's
+    # equilibrium and result overwrite, and the transported field
     f = np.zeros((n_xi, n_x))
     f[lo:hi] = field.values[:, lo:hi].T
     t = np.zeros_like(f)
-    rows = np.zeros((n_x, n_xi))
     for _ in range(n_steps):
         _upwind(f, t, lo, hi, h, nu, left, right)
-        rows[:, lo:hi] = t[lo:hi].T
-        u = vgrid.dxi * rows.sum(axis=1)
+        # np.add.reduce sums pairwise at n_x = 1, np.subtract.reduce never
+        # pairs, and 0 - ((0 - t_lo) - ...) is the ordered sum exactly
+        u = vgrid.dxi * (0.0 - np.subtract.reduce(t[lo:hi], axis=0, initial=0.0))
         reach_lo, reach_hi = _equilibrium_band(u, vgrid)
         lo, hi = min(lo, reach_lo), max(hi, reach_hi)
         # transported + w (eq - transported), in place in the band of f
@@ -306,13 +313,13 @@ def run_with_history(
 ) -> KineticHistory:
     """March n_steps, keeping the final field and the requested snapshots.
 
-    The march is bitwise a loop of step calls, run as one velocity-major
-    kernel (see _march) that checks dt first, as step does, and the inflows,
-    the stiffness profile and the CFL limit once; n_steps = 0 runs only the
-    dt check.  A requested time r is stored from the first step whose time
-    is at least r - dt/2, the start field included, so times[k] is stored
-    as step k.  A time more than dt/2 past the last step is a ValueError,
-    raised before the march starts.
+    The march is bitwise a loop of step calls: both run the one
+    velocity-major kernel (see _march), densities included.  It checks dt
+    first, as step does, and the inflows, the stiffness profile and the CFL
+    limit once; n_steps = 0 runs only the dt check.  A requested time r is
+    stored from the first step whose time is at least r - dt/2, the start
+    field included, so times[k] is stored as step k.  A time more than dt/2
+    past the last step is a ValueError, raised before the march starts.
     """
     _check_dt(dt)
     times = field.time + dt * np.arange(n_steps + 1)

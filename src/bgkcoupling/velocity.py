@@ -183,8 +183,8 @@ def _equilibrium_band(u: np.ndarray, grid: VelocityGrid) -> tuple[int, int]:
     Outside the band every covered share clips a strictly negative quotient
     (edge distance / dxi) and is +0.0.  The quotient cannot underflow to
     -0.0 when, as in the layer sweep and the kinetic step, each density is
-    dxi times a row sum: the distances are to O(1) edges, or, at the edge
-    xi = 0, to such a density.
+    dxi times the sum of one node's or one cell's velocity entries: the
+    distances are to O(1) edges, or, at the edge xi = 0, to such a density.
     """
     h = grid.half
     edges = grid.edges

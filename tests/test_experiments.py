@@ -252,6 +252,21 @@ def test_convergence_study_workers_match_serial():
     assert run_convergence_study(config, jobs=2).to_dict() == run_convergence_study(config).to_dict()
 
 
+def test_steady_shock_ladder_errors_hold_their_recorded_values():
+    # the eps ladder of criterion 8 on steady_shock (default eps 0.2, 0.1,
+    # 0.05 at horizon 2).  A change of summation order in the kinetic
+    # density moves these by about 2e-12 relative, so 1e-10 passes rounding
+    # and catches any change in the numerics
+    report = run_convergence_study(ScenarioConfig(scenario="steady_shock", horizon=2.0))
+    recorded = {
+        "kinetic_errors": [0.06984710664071307, 0.04878579299251299, 0.033023674070062035],
+        "fluid_errors": [9.367342547469737e-05, 4.601426697748545e-05, 2.8245596580287468e-05],
+        "negative_mass": [0.5258394424152829, 0.4621812708653119, 0.3376045379819119],
+    }
+    for name, values in recorded.items():
+        np.testing.assert_allclose(getattr(report, name), values, rtol=1e-10, atol=0.0, err_msg=name)
+
+
 def test_solve_full_epsilon_rejects_nonpositive_eps():
     with pytest.raises(ConfigError):
         solve_full_epsilon(base(), -0.1)

@@ -115,6 +115,35 @@ def test_run_with_history_rejects_a_nan_or_negative_dt(dt):
             run_with_history(fld, bc, stiffness, dt, n_steps)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -50.0], ids=["nan", "inf", "-inf", "negative"])
+def test_stiffness_profile_rejects_a_nan_infinite_or_negative_rate(rate):
+    # on dt_case's grid a NaN rate in one cell used to make that cell NaN,
+    # and a rate of -50 grew max |f| to 4.1e9 in five steps
+    fld, bc, _ = dt_case()
+    alpha = np.ones(fld.space.n_cells)
+    alpha[3] = rate
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        StiffnessProfile(alpha)
+
+
+def test_two_zone_rejects_an_eps_whose_rate_is_not_finite():
+    sg = SpaceGrid(-1.0, 1.0, 10)
+    assert 1.0 / 5e-324 == np.inf
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        StiffnessProfile.two_zone(sg, 5e-324)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        StiffnessProfile.two_zone(sg, np.nan)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        StiffnessProfile.two_zone(sg, 0.0)
+
+
+def test_stiffness_profile_keeps_zero_rates_of_either_sign():
+    # -0.0 is a valid rate; its weight -0.0 makes the kernel's band the full range
+    profile = StiffnessProfile([0.0, -0.0, 2.0])
+    assert profile.alpha.dtype == float
+    assert np.signbit(profile.alpha).tolist() == [False, True, False]
+
+
 def test_zero_dt_leaves_the_field_as_it_is():
     fld = random_field(np.random.default_rng(3))
     bc = InflowBoundary(left=np.where(VG.positive, 0.8, 0.0), right=np.where(VG.positive, 0.0, -0.3))
@@ -362,6 +391,26 @@ def test_history_memory_does_not_grow_with_steps():
 
     peak(5)  # warm any first-call caches outside the measurement
     assert peak(200) - peak(50) < fld.values.nbytes
+
+
+def test_march_peak_holds_only_the_two_field_buffers():
+    # the march needs the field and its transport as (n_xi, n_x) buffers,
+    # and the equilibrium's temporaries take under half a field more; a
+    # third field-sized buffer, such as a row-major copy for the density,
+    # crosses the bound.  The grid is large enough that the fixed-size
+    # allocations are a few percent of a field.
+    sg = SpaceGrid(-1.0, 0.0, 2000)
+    fld = random_field(np.random.default_rng(6), sg=sg)
+    stiffness = StiffnessProfile.uniform(sg, 1.0)
+    dt = stable_dt(sg, VG)
+    run_with_history(fld, InflowBoundary(), stiffness, dt, 2)  # warm first-call caches
+    tracemalloc.start()
+    try:
+        run_with_history(fld, InflowBoundary(), stiffness, dt, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * fld.values.nbytes
 
 
 def test_duhamel_oracle_equilibrium_exact():

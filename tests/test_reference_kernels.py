@@ -118,7 +118,11 @@ def ref_step(field, bc, stiffness, dt):
     transported = f.copy()
     transported[:, pos] -= nu[pos] * (f[:, pos] - west[:, pos])
     transported[:, ~pos] -= nu[~pos] * (east[:, ~pos] - f[:, ~pos])
-    u = vgrid.dxi * transported.sum(axis=1)
+    # each cell's density adds its velocity entries one at a time, first to last
+    total = np.zeros(field.space.n_cells)
+    for j in range(vgrid.n_cells):
+        total = total + transported[:, j]
+    u = vgrid.dxi * total
     eq = ref_equilibrium(u[:, None], vgrid)
     w = -np.expm1(-stiffness.alpha * dt)
     return transported + w[:, None] * (eq - transported)
@@ -195,6 +199,76 @@ def test_kinetic_step_on_a_narrow_band_matches_mask_reference_bitwise():
     expected = ref_step(field, bc, stiffness, dt)
     assert np.count_nonzero(np.abs(expected).sum(axis=0)) <= 22
     assert_bitwise_equal(step(field, bc, stiffness, dt).values, expected)
+
+
+def record_bands(monkeypatch):
+    """The band [lo, hi) that each kernel step starts from, appended as steps run."""
+    bands = []
+    upwind = kinetic._upwind
+
+    def recording(f, t, lo, hi, *args):
+        bands.append((lo, hi))
+        upwind(f, t, lo, hi, *args)
+
+    monkeypatch.setattr(kinetic, "_upwind", recording)
+    return bands
+
+
+def assert_steps_match_reference(field, bc, stiffness, n_steps):
+    dt = stable_dt(field.space, field.velocity)
+    for _ in range(n_steps):
+        expected = ref_step(field, bc, stiffness, dt)
+        field = step(field, bc, stiffness, dt)
+        assert_bitwise_equal(field.values, expected)
+
+
+def test_kinetic_steps_on_fewer_than_eight_rows_match_mask_reference_bitwise(monkeypatch):
+    # densities in (-0.05, 0.07) on 80 velocity cells of width 0.025 and an
+    # inflow on the two cells next to xi = 0 reach rows 38..42 only
+    bands = record_bands(monkeypatch)
+    rng = np.random.default_rng(13)
+    sg = SpaceGrid(-1.0, 1.0, 30)
+    vg = VelocityGrid(1.0, 80)
+    field = KineticField(sg, vg, maxwellian_table(rng.uniform(-0.05, 0.07, sg.n_cells), vg))
+    left = np.zeros(vg.n_cells)
+    left[vg.half : vg.half + 2] = rng.uniform(0.0, 1.0, 2)
+    assert_steps_match_reference(field, InflowBoundary(left=left), StiffnessProfile.two_zone(sg, 0.1), 8)
+    assert set(bands) == {(38, 43)}
+
+
+def test_kinetic_steps_on_one_space_cell_match_mask_reference_bitwise(monkeypatch):
+    # n_x = 1 with all 80 velocity rows in the band: each density sums 80
+    # entries in order, as it does on wider grids
+    bands = record_bands(monkeypatch)
+    rng = np.random.default_rng(14)
+    sg = SpaceGrid(-1.0, 0.0, 1)
+    vg = VelocityGrid(1.0, 80)
+    raw = rng.uniform(0.0, 1.0, (1, vg.n_cells))
+    field = KineticField(sg, vg, np.where(vg.positive, raw, -raw))
+    bc = InflowBoundary(
+        left=np.where(vg.positive, rng.uniform(0.0, 1.0, vg.n_cells), 0.0),
+        right=np.where(vg.positive, 0.0, -rng.uniform(0.0, 1.0, vg.n_cells)),
+    )
+    assert_steps_match_reference(field, bc, StiffnessProfile.uniform(sg, 3.0), 10)
+    assert set(bands) == {(0, vg.n_cells)}
+
+
+def test_kinetic_step_at_a_negative_zero_rate_matches_mask_reference_bitwise():
+    # the weight of a -0.0 rate is -0.0, which keeps a transported -0.0
+    # outside the support at -0.0 rather than +0.0, so the kernel marches
+    # the full range: xi > 0 entries beyond the support and the left inflow
+    # are -0.0 here
+    rng = np.random.default_rng(15)
+    sg = SpaceGrid(-1.0, 1.0, 20)
+    vg = VelocityGrid(1.0, 40)
+    values = maxwellian_table(rng.uniform(-0.2, 0.3, sg.n_cells), vg)
+    values[:, vg.half :][values[:, vg.half :] == 0.0] = -0.0
+    field = KineticField(sg, vg, values)
+    bc = InflowBoundary(left=np.full(vg.n_cells, -0.0))
+    stiffness = StiffnessProfile(np.where(sg.centers > 0.0, -0.0, 1.0))
+    expected = ref_step(field, bc, stiffness, stable_dt(sg, vg))
+    assert np.count_nonzero((expected == 0.0) & np.signbit(expected)) > 0
+    assert_steps_match_reference(field, bc, stiffness, 1)
 
 
 def test_kinetic_march_bands_steady_shock(monkeypatch):
