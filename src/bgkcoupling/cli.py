@@ -34,7 +34,6 @@ from .errors import SOLVER_ERRORS, ConfigError
 from .experiments import (
     _FIELD_TYPES,
     ScenarioConfig,
-    _is_number,
     build_coupled_initial,
     config_to_dict,
     run_convergence_study,
@@ -51,9 +50,11 @@ from .velocity import (
 )
 
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
-_EXTRA_KEYS = {"layer_data", "log_every", "pair_seed", "slack"}
-# layer_data.incoming kind -> the keys that kind reads besides "kind"
-_INCOMING_KEYS = {"maxwellian": {"u"}, "indicator": {"lo", "hi", "height"}, "zero": set()}
+# extra key -> its type, as a ScenarioConfig annotation; the layer_data block has its own check
+_EXTRA_TYPES = {"log_every": "int", "pair_seed": "int", "slack": "float"}
+_EXTRA_KEYS = {"layer_data", *_EXTRA_TYPES}
+# layer_data.incoming kind -> the number keys that kind reads besides "kind"
+_INCOMING_KEYS = {"maxwellian": ("u",), "indicator": ("lo", "hi", "height"), "zero": ()}
 
 
 def _fmt(x: float) -> str:
@@ -61,7 +62,7 @@ def _fmt(x: float) -> str:
 
 
 def parse_config(path: str | None) -> dict:
-    """Load and validate the JSON config; unknown keys are itemized errors."""
+    """Load the JSON config; an unknown key or an extra of the wrong type, whatever the command, is an error."""
     if path is None:
         return {}
     try:
@@ -71,6 +72,9 @@ def parse_config(path: str | None) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: {path} is not valid JSON: {exc}"]) from exc
     _check_keys(raw, "config", _CONFIG_KEYS | _EXTRA_KEYS)
+    for key, kind in _EXTRA_TYPES.items():
+        _number(raw, key, 0, kind)
+    _check_layer_data(raw.get("layer_data", {}))
     if isinstance(raw.get("epsilons"), list):
         raw["epsilons"] = tuple(raw["epsilons"])
     return raw
@@ -85,39 +89,52 @@ def _check_keys(block, where: str, known: set[str]) -> None:
         raise ConfigError([f"{where}: unknown key {k!r}" for k in unknown])
 
 
-def _block_number(block: dict, key: str, default: float, where: str) -> float:
-    """block[key] (default when absent) as a float; ConfigError unless a finite number."""
+def _number(block: dict, key: str, default, kind: str = "float", least=None, where: str = ""):
+    """block[key] (default when absent) as kind, "int" or "float"; see _FIELD_TYPES.
+
+    A ConfigError unless the value passes kind's type rule and is at least
+    least (when given); nothing is truncated or coerced.
+    """
+    name = f"{where}.{key}" if where else key
     value = block.get(key, default)
-    if not _is_number(value):
-        raise ConfigError([f"{where}.{key}: must be a finite number, got {value!r}"])
-    return float(value)
+    accepts, what = _FIELD_TYPES[kind]
+    if not accepts(value):
+        raise ConfigError([f"{name}: must be {what}, got {value!r}"])
+    if least is not None and value < least:
+        raise ConfigError([f"{name}: must be at least {least}, got {value}"])
+    return int(value) if kind == "int" else float(value)
 
 
-def scenario_from(raw: dict) -> ScenarioConfig:
-    cfg = ScenarioConfig(**{k: v for k, v in raw.items() if k in _CONFIG_KEYS})
-    cfg.validate()
-    return cfg
+def _check_layer_data(block) -> None:
+    """ConfigError unless the layer_data block holds known keys and finite numbers."""
+    _check_keys(block, "layer_data", {"flux", "incoming"})
+    where = "layer_data.incoming"
+    incoming = block.get("incoming", {})
+    if not isinstance(incoming, dict):
+        raise ConfigError([f"{where}: must be a JSON object, got {incoming!r}"])
+    kind = incoming.get("kind", "maxwellian")
+    if not isinstance(kind, str) or kind not in _INCOMING_KEYS:
+        raise ConfigError([f"{where}.kind: unknown kind {kind!r}"])
+    _check_keys(incoming, where, {"kind", *_INCOMING_KEYS[kind]})
+    for key in _INCOMING_KEYS[kind]:
+        _number(incoming, key, 0.0, where=where)
+    _number(block, "flux", 0.0, where="layer_data")
 
 
 def _incoming_from(block: dict, cfg: ScenarioConfig) -> DiscreteDistribution:
-    """Build the half-range layer inflow described by the config block."""
+    """Build the half-range layer inflow described by the checked config block."""
     where = "layer_data.incoming"
-    if not isinstance(block, dict):
-        raise ConfigError([f"{where}: must be a JSON object, got {block!r}"])
     kind = block.get("kind", "maxwellian")
-    if not isinstance(kind, str) or kind not in _INCOMING_KEYS:
-        raise ConfigError([f"{where}.kind: unknown kind {kind!r}"])
-    _check_keys(block, where, {"kind"} | _INCOMING_KEYS[kind])
     vgrid = cfg.velocity_grid()
     if kind == "maxwellian":
-        u = _block_number(block, "u", cfg.u_plus, where)
+        u = _number(block, "u", cfg.u_plus, where=where)
         if not 0.0 <= u <= vgrid.half_width:
             raise ConfigError([f"layer_data.incoming.u: must lie in [0, {vgrid.half_width}], got {u}"])
         return maxwellian(u, vgrid)
     if kind == "indicator":
-        lo = _block_number(block, "lo", 0.0, where)
-        hi = _block_number(block, "hi", cfg.u_plus, where)
-        height = _block_number(block, "height", 1.0, where)
+        lo = _number(block, "lo", 0.0, where=where)
+        hi = _number(block, "hi", cfg.u_plus, where=where)
+        height = _number(block, "height", 1.0, where=where)
         if not 0.0 <= lo < hi <= vgrid.half_width:
             raise ConfigError([f"layer_data.incoming: need 0 <= lo < hi <= {vgrid.half_width}, got ({lo}, {hi})"])
         if not 0.0 <= height <= 1.0:
@@ -141,10 +158,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_manifest(
-    out: Path, command: str, raw: dict, outputs: list[str], error: str | None = None
+    out: Path, command: str, cfg: ScenarioConfig, raw: dict, outputs: list[str], error: str | None = None
 ) -> None:
     """manifest.json: the resolved config (scenario plus the extra keys given) and its hash."""
-    resolved = config_to_dict(scenario_from(raw))
+    resolved = config_to_dict(cfg)
     resolved["_extras"] = {k: raw[k] for k in sorted(_EXTRA_KEYS & set(raw))}
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     payload = {
@@ -174,31 +191,12 @@ def _interface_rows(log):
         yield ["" if v is None else v for v in row]
 
 
-def _extra_number(raw: dict, key: str, default, kind: type, least):
-    """raw[key] (default when absent) as kind, int or float.
-
-    The value must pass the scenario keys' check for that type (a finite
-    number, not a bool; an integer for int) and be at least least.
-    Anything else is a ConfigError, raised before any work starts; nothing
-    is truncated or coerced.
-    """
-    value = raw.get(key, default)
-    accepts, what = _FIELD_TYPES[kind.__name__]
-    if not accepts(value):
-        raise ConfigError([f"{key}: must be {what}, got {value!r}"])
-    if value < least:
-        raise ConfigError([f"{key}: must be at least {least}, got {value}"])
-    return kind(value)
-
-
 # -- subcommand bodies -----------------------------------------------------
 
-def _cmd_layer(raw: dict, out: Path) -> list[str]:
-    cfg = scenario_from(raw)
+def _cmd_layer(cfg: ScenarioConfig, raw: dict, out: Path) -> list[str]:
     block = raw.get("layer_data", {})
-    _check_keys(block, "layer_data", {"flux", "incoming"})
     incoming = _incoming_from(block.get("incoming", {}), cfg)
-    flux = _block_number(block, "flux", cfg.u_plus**2 / 2.0, "layer_data")
+    flux = _number(block, "flux", cfg.u_plus**2 / 2.0, where="layer_data")
     data = LayerData(flux=flux, incoming=incoming)
     profile = solve_layer(data, cfg.layer_grid())
     vgrid = cfg.velocity_grid()
@@ -221,12 +219,11 @@ def _cmd_layer(raw: dict, out: Path) -> list[str]:
     return ["layer_profile.csv", "layer_summary.json"]
 
 
-def _run_march(raw: dict, out: Path, mode: str) -> list[str]:
-    cfg = scenario_from(raw)
+def _run_march(cfg: ScenarioConfig, raw: dict, out: Path, mode: str) -> list[str]:
     state = build_coupled_initial(cfg)
     layer_grid = cfg.layer_grid()
     dt, n_steps = scenario_dt(cfg)
-    log_every = _extra_number(raw, "log_every", 0, int, least=0)
+    log_every = _number(raw, "log_every", 0, "int", least=0)
     try:
         final, snaps = run_coupled(state, dt, n_steps, layer_grid, mode=mode, log_every=log_every)
     except SOLVER_ERRORS as exc:
@@ -271,8 +268,7 @@ def _write_march(out: Path, mode: str, dt: float, n_steps: int, final, snaps, ex
     return ["interface_log.csv", "kinetic_final.csv", "fluid_final.csv", "summary.json"]
 
 
-def _cmd_epsilon_sweep(raw: dict, out: Path, jobs: int) -> list[str]:
-    cfg = scenario_from(raw)
+def _cmd_epsilon_sweep(cfg: ScenarioConfig, out: Path, jobs: int) -> list[str]:
     report = run_convergence_study(cfg, jobs=jobs)
     _write_json(out / "report.json", report.to_dict())
     header = ["eps", "kinetic_l1", "fluid_l1"]
@@ -287,13 +283,12 @@ def _cmd_epsilon_sweep(raw: dict, out: Path, jobs: int) -> list[str]:
     return ["report.json", "errors.csv"]
 
 
-def _cmd_stability(raw: dict, out: Path) -> list[str]:
-    cfg = scenario_from(raw)
+def _cmd_stability(cfg: ScenarioConfig, raw: dict, out: Path) -> list[str]:
     report = stability_study(
         cfg,
-        pair_seed=_extra_number(raw, "pair_seed", 0, int, least=0),
-        slack=_extra_number(raw, "slack", 0.05, float, least=0.0),
-        log_every=_extra_number(raw, "log_every", 10, int, least=1),
+        pair_seed=_number(raw, "pair_seed", 0, "int", least=0),
+        slack=_number(raw, "slack", 0.05, least=0.0),
+        log_every=_number(raw, "log_every", 10, "int", least=1),
     )
     _write_json(
         out / "report.json",
@@ -310,11 +305,10 @@ def _cmd_stability(raw: dict, out: Path) -> list[str]:
     return ["report.json", "distances.csv"]
 
 
-def _cmd_compare(raw: dict, out: Path) -> list[str]:
-    cfg = scenario_from(raw)
+def _cmd_compare(cfg: ScenarioConfig, raw: dict, out: Path) -> list[str]:
     layer_grid = cfg.layer_grid()
     dt, n_steps = scenario_dt(cfg)
-    log_every = _extra_number(raw, "log_every", max(1, n_steps // 50), int, least=1)
+    log_every = _number(raw, "log_every", max(1, n_steps // 50), "int", least=1)
 
     def march(mode: str):
         return run_coupled(build_coupled_initial(cfg), dt, n_steps, layer_grid, mode=mode, log_every=log_every)
@@ -389,21 +383,22 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         raw = parse_config(args.config)
+        cfg = ScenarioConfig(**{k: v for k, v in raw.items() if k in _CONFIG_KEYS})
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "layer":
-            outputs = _cmd_layer(raw, out)
+            outputs = _cmd_layer(cfg, raw, out)
         elif args.command == "coupled":
-            outputs = _run_march(raw, out, "limit")
+            outputs = _run_march(cfg, raw, out, "limit")
         elif args.command == "naive":
-            outputs = _run_march(raw, out, "naive")
+            outputs = _run_march(cfg, raw, out, "naive")
         elif args.command == "epsilon-sweep":
-            outputs = _cmd_epsilon_sweep(raw, out, jobs=args.jobs)
+            outputs = _cmd_epsilon_sweep(cfg, out, jobs=args.jobs)
         elif args.command == "stability":
-            outputs = _cmd_stability(raw, out)
+            outputs = _cmd_stability(cfg, raw, out)
         else:
-            outputs = _cmd_compare(raw, out)
-        _write_manifest(out, args.command, raw, outputs + ["manifest.json"])
+            outputs = _cmd_compare(cfg, raw, out)
+        _write_manifest(out, args.command, cfg, raw, outputs + ["manifest.json"])
     except ConfigError as exc:
         for item in exc.items:
             print(f"config error: {item}", file=sys.stderr)
@@ -413,8 +408,8 @@ def main(argv: list[str] | None = None) -> int:
         # flush whatever partial artifacts exist, marked as failed
         try:
             partial = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
-            _write_manifest(out, args.command, raw, partial + ["manifest.json"], error=str(exc))
-        except (OSError, ConfigError):
+            _write_manifest(out, args.command, cfg, raw, partial + ["manifest.json"], error=str(exc))
+        except OSError:
             pass
         return 3
     if args.verbose:

@@ -74,7 +74,10 @@ _FIELD_TYPES = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce a run.  Defaults are the desk-scale setup."""
+    """Everything needed to reproduce a run.  Defaults are the desk-scale setup.
+
+    A config checks itself once, when it is built, so every one that exists is valid.
+    """
 
     scenario: str = "steady_shock"
     u_plus: float = 0.6
@@ -92,7 +95,14 @@ class ScenarioConfig:
     layer_n_y: int = 400
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
+        """ConfigError listing every rule this config breaks; __post_init__ calls it.
+
+        Each grid is built; its ValueError becomes an item that names the keys it read.
+        """
         items: list[str] = []
         for f in fields(self):
             accepts, what = _FIELD_TYPES[f.type]
@@ -102,25 +112,32 @@ class ScenarioConfig:
         if items:
             # the range checks below would fail on a value of the wrong type
             raise ConfigError(items)
+
+        def built(keys: str, grid) -> bool:
+            try:
+                grid()
+            except ValueError as exc:
+                items.append(f"{keys}: {exc}")
+                return False
+            return True
+
         if self.scenario not in FAMILIES:
             items.append(f"scenario: must be one of {FAMILIES}, got {self.scenario!r}")
-        if self.half_width <= 0:
-            items.append(f"half_width: must be positive, got {self.half_width}")
+        built("half_width, n_xi", self.velocity_grid)
         if not 0 < self.u_plus < self.half_width:
             items.append(f"u_plus: must lie in (0, {self.half_width}), got {self.u_plus}")
         if self.scenario == "shock" and not 0 < self.eta < self.u_plus:
             items.append(f"eta: must lie in (0, u_plus), got {self.eta}")
         if self.relax_right is not None and not -self.u_plus <= self.relax_right <= self.half_width:
             items.append(f"relax_right: must lie in [-u_plus, {self.half_width}], got {self.relax_right}")
-        if self.n_xi <= 0 or self.n_xi % 2:
-            items.append(f"n_xi: must be a positive even integer, got {self.n_xi}")
-        if not self.x_min < 0 < self.x_max:
-            items.append(f"domain: need x_min < 0 < x_max, got ({self.x_min}, {self.x_max})")
-        if self.n_x <= 0:
-            items.append(f"n_x: must be positive, got {self.n_x}")
-        else:
-            split = self.n_x * (-self.x_min) / (self.x_max - self.x_min)
-            if abs(split - round(split)) > 1e-9:
+        space = "x_min, x_max, n_x"
+        if (
+            built(space, self.full_grid)
+            and built(f"{space}: the x < 0 half line", self.kinetic_grid)
+            and built(f"{space}: the x > 0 half line", self.fluid_grid)
+        ):
+            # stricter than SpaceGrid's own test, which allows 1e-9 * n_x cells
+            if abs(self.n_x * -self.x_min / (self.x_max - self.x_min) - self.n_x_left) > 1e-9:
                 items.append("n_x: x = 0 must land on a cell edge of the full-line grid")
         if self.horizon <= 0:
             items.append(f"horizon: must be positive, got {self.horizon}")
@@ -130,8 +147,7 @@ class ScenarioConfig:
             items.append(f"epsilons: must be positive, got {self.epsilons}")
         elif list(self.epsilons) != sorted(self.epsilons, reverse=True) or len(set(self.epsilons)) != len(self.epsilons):
             items.append(f"epsilons: must be strictly decreasing, got {self.epsilons}")
-        if self.layer_y_max <= 0 or self.layer_n_y <= 0:
-            items.append("layer: y_max and n_y must be positive")
+        built("layer_y_max, layer_n_y", self.layer_grid)
         if self.seed < 0:
             items.append(f"seed: must be at least 0, got {self.seed}")
         if items:
@@ -175,7 +191,7 @@ def scenario_dt(config: ScenarioConfig, scale: int = 1) -> tuple[float, int]:
     """Time step meeting the CFL target and landing exactly on the horizon."""
     dx = config.full_grid(scale).dx
     dt_max = config.cfl * dx / config.half_width
-    n_steps = int(np.ceil(config.horizon / dt_max - 1e-12))
+    n_steps = max(1, int(np.ceil(config.horizon / dt_max - 1e-12)))  # one step at least, however short the horizon
     return config.horizon / n_steps, n_steps
 
 
@@ -187,7 +203,6 @@ def build_full_initial(
     config: ScenarioConfig, scale: int = 1
 ) -> tuple[KineticField, InflowBoundary]:
     """Initial kinetic field on the whole line plus matching far-field inflows."""
-    config.validate()
     vgrid = config.velocity_grid()
     sgrid = config.full_grid(scale)
     u0 = _density_profile(config, sgrid.centers)
@@ -203,7 +218,6 @@ def build_full_initial(
 
 def build_coupled_initial(config: ScenarioConfig) -> CoupledState:
     """Initial coupled state: kinetic field on x < 0, fluid field on x > 0."""
-    config.validate()
     vgrid = config.velocity_grid()
     kgrid = config.kinetic_grid()
     u0 = np.full(kgrid.n_cells, config.left_density())
@@ -297,15 +311,7 @@ class ConvergenceReport:
     monotone: dict[str, bool] = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "epsilons": list(self.epsilons),
-            "kinetic_errors": list(self.kinetic_errors),
-            "fluid_errors": list(self.fluid_errors),
-            "layer_errors": None if self.layer_errors is None else list(self.layer_errors),
-            "negative_mass": None if self.negative_mass is None else list(self.negative_mass),
-            "monotone": dict(self.monotone),
-        }
+        return asdict(self)
 
 
 def _strictly_decreasing(seq: list[float]) -> bool:
@@ -340,7 +346,6 @@ def run_convergence_study(config: ScenarioConfig, jobs: int = 1) -> ConvergenceR
     evaluated in rescaled variables on fixed windows, so shrinking eps
     probes the same structure at later inner times.
     """
-    config.validate()
     if len(config.epsilons) < 3:
         raise ConfigError(["epsilons: a convergence study needs at least three ladder values"])
     limit_state, _ = run_limit_system(config)
@@ -459,7 +464,6 @@ def stability_study(
     Both trajectories see the same far-field inflow (taken from the first
     draw), the setting in which the combined distance is contractive.
     """
-    config.validate()
     first = random_coupled_state(config, 2 * pair_seed + config.seed)
     second = random_coupled_state(config, 2 * pair_seed + config.seed + 1)
     second = replace_inflow(second, first.far_left_inflow)

@@ -90,8 +90,8 @@ class LayerGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.y_max <= 0 or self.n_cells <= 0:
-            raise ValueError("y_max and n_cells must be positive")
+        if not (0 < self.y_max < np.inf and self.n_cells > 0):    # NaN fails it too
+            raise ValueError(f"y_max must be positive and finite and n_cells positive, got ({self.y_max}, {self.n_cells})")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.y_max, self.n_cells + 1))
 
     @property

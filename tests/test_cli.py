@@ -280,3 +280,41 @@ def test_wrong_typed_value_is_config_error(tmp_path, capsys, key, value, command
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"config error: {key}: must be" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+# the extras each command reads; every other extra it holds is checked all the same
+READS = {
+    "layer": {"layer_data"},
+    "coupled": {"log_every"},
+    "naive": {"log_every"},
+    "epsilon-sweep": set(),
+    "stability": {"log_every", "pair_seed", "slack"},
+    "compare-couplings": {"log_every"},
+}
+NAN_EXTRAS = {"log_every": float("nan"), "pair_seed": float("nan"), "slack": float("nan"), "layer_data": {"flux": float("nan")}}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command, reads in READS.items() for key in sorted(set(NAN_EXTRAS) - reads)],
+)
+def test_unread_extra_is_checked(tmp_path, capsys, command, key):
+    # an extra the command ignores is checked all the same, so no NaN reaches manifest.json
+    cfg = write_config(tmp_path, scenario="relaxation", **{key: NAN_EXTRAS[key]})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_manifest_records_unread_extras_as_strict_json(tmp_path):
+    extras = {"log_every": 0, "pair_seed": 3, "slack": 0.5, "layer_data": {"flux": 0.1}}
+    cfg = write_config(tmp_path, **extras)
+    out = tmp_path / "out"
+    assert main(["epsilon-sweep", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert manifest["config"]["_extras"] == extras

@@ -15,7 +15,7 @@ import pytest
 import bgkcoupling
 
 from bgkcoupling import ConfigError, InflowBoundary, KineticField
-from bgkcoupling.kinetic import StiffnessProfile, run_with_history
+from bgkcoupling.kinetic import SpaceGrid, StiffnessProfile, run_with_history
 from bgkcoupling.velocity import maxwellian_table
 from bgkcoupling.experiments import (
     ScenarioConfig,
@@ -72,6 +72,42 @@ def test_validate_collects_all_items():
         assert "scenario" in text and "cfl" in text and "n_xi" in text
     else:
         pytest.fail("expected ConfigError")
+
+
+@pytest.mark.parametrize(
+    "kw, keys",
+    [
+        # each half line needs a cell: the other one takes all n_x of them
+        ({"x_max": 1e-300}, "x_min, x_max, n_x"),
+        ({"x_max": 1e300}, "x_min, x_max, n_x"),
+        # the grid constructors' own checks, named by the keys each grid reads
+        ({"half_width": 0.0}, "half_width, n_xi"),
+        ({"n_xi": 41}, "half_width, n_xi"),
+        ({"n_xi": 0}, "half_width, n_xi"),
+        ({"n_x": 0}, "x_min, x_max, n_x"),
+        ({"x_min": 0.5}, "x_min, x_max, n_x"),
+        ({"layer_n_y": 0}, "layer_y_max, layer_n_y"),
+        ({"layer_y_max": 0.0}, "layer_y_max, layer_n_y"),
+    ],
+)
+def test_config_checks_its_grids_when_built(kw, keys):
+    with pytest.raises(ConfigError) as info:
+        base(**kw)
+    assert any(item.startswith(f"{keys}: ") for item in info.value.items), info.value.items
+
+
+def test_config_keeps_the_stricter_split_test():
+    # x = 0 sits 5e-8 of a cell off an edge: SpaceGrid allows 1e-9 * n_x = 1e-7
+    # cells, the config only 1e-9
+    x_max = 1.0 + 2e-9
+    assert SpaceGrid(-1.0, x_max, 100).n_cells == 100
+    with pytest.raises(ConfigError, match="n_x: x = 0 must land on a cell edge"):
+        base(x_max=x_max)
+
+
+def test_scenario_dt_marches_a_short_horizon_in_one_step():
+    config = base(horizon=1e-300)
+    assert scenario_dt(config) == (1e-300, 1)
 
 
 def test_config_to_dict_round_trip():

@@ -46,6 +46,13 @@ def random_profile(rng, grid=GRID, vg=VG):
     return np.where(vg.positive, raw, -raw)
 
 
+@pytest.mark.parametrize("y_max", [float("nan"), float("inf")])
+def test_nonfinite_layer_length_rejected(y_max):
+    # a NaN fails no comparison written as y_max <= 0
+    with pytest.raises(ValueError, match="y_max must be positive and finite"):
+        LayerGrid(y_max, 10)
+
+
 def test_layer_data_validation():
     g = maxwellian(0.5, VG)
     with pytest.raises(ConeError):

@@ -49,6 +49,13 @@ def test_odd_cell_count_rejected():
         VelocityGrid(1.0, 41)
 
 
+@pytest.mark.parametrize("half_width", [float("nan"), float("inf")])
+def test_nonfinite_half_width_rejected(half_width):
+    # a NaN fails no comparison written as half_width <= 0
+    with pytest.raises(ValueError, match="half_width must be positive and finite"):
+        VelocityGrid(half_width, 8)
+
+
 def test_maxwellian_moments_closed_form():
     rng = np.random.default_rng(7)
     for u in rng.uniform(-1.0, 1.0, 100):
