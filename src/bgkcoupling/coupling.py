@@ -26,6 +26,10 @@ kinetic outflux directly as the positive part of the fluid boundary flux and
 reflects the fluid trace back as an equilibrium inflow.  The two variants
 agree while the fluid trace stays on the inflow branch and separate as soon
 as a standing transition sits at the interface.
+
+Each variant fills the step's InterfaceRecord in its own way and hands it
+to one shared tail, _exchange, which runs the kinetic step with the
+record's returning slice as the right-edge inflow and logs the record.
 """
 
 from __future__ import annotations
@@ -146,6 +150,11 @@ def _negative_flux(values: np.ndarray, grid) -> float:
     return grid.dxi * float(np.dot(grid.centers[neg], values[neg]))
 
 
+def _fluid_datum(flux_out: float) -> float:
+    """Burgers datum v = sqrt(2 flux(g)) of the kinetic outflux (0 for a negative rounding)."""
+    return float(np.sqrt(max(2.0 * flux_out, 0.0)))
+
+
 def coupled_step(state: CoupledState, dt: float, layer_grid: LayerGrid) -> CoupledState:
     """Advance the limit system by one step (see the module docstring).
 
@@ -161,7 +170,7 @@ def coupled_step(state: CoupledState, dt: float, layer_grid: LayerGrid) -> Coupl
     kin, fluid = state.kinetic, state.fluid
     g = outgoing_trace(kin)
     flux_out = flux_moment(g)
-    v = float(np.sqrt(max(2.0 * flux_out, 0.0)))
+    v = _fluid_datum(flux_out)
 
     new_fluid = fluid_step(fluid, v, dt)
     u0 = boundary_trace(new_fluid)
@@ -192,26 +201,14 @@ def coupled_step(state: CoupledState, dt: float, layer_grid: LayerGrid) -> Coupl
         returning = back_flux(layer).values
         iterations, residual = layer.iterations, layer.last_change
 
-    bc = InflowBoundary(left=state.far_left_inflow, right=returning)
-    new_kin = kinetic_step(kin, bc, StiffnessProfile.uniform(kin.space, 1.0), dt)
-
     record = InterfaceRecord(
-        time=new_kin.time,
-        flux_out=flux_out,
-        v=v,
-        u_trace=u0,
-        layer_flux=layer_flux,
-        cone_defect=cone_defect,
-        layer_class=layer.classification.value,
-        back_flux_values=returning.copy(),
-        interface_defect=abs(
-            flux_out + _negative_flux(returning, kin.velocity) - layer_flux
-        ),
-        layer_iterations=iterations,
-        layer_residual=residual,
+        time=kin.time + dt, flux_out=flux_out, v=v, u_trace=u0,
+        layer_flux=layer_flux, cone_defect=cone_defect, layer_class=layer.classification.value,
+        back_flux_values=returning,
+        interface_defect=abs(flux_out + _negative_flux(returning, kin.velocity) - layer_flux),
+        layer_iterations=iterations, layer_residual=residual,
     )
-    log = state.trace_log + [record]
-    return CoupledState(new_kin, new_fluid, state.far_left_inflow, layer, log, previous)
+    return _exchange(state, dt, new_fluid, record, layer, previous)
 
 
 def naive_coupled_step(state: CoupledState, dt: float) -> CoupledState:
@@ -224,34 +221,37 @@ def naive_coupled_step(state: CoupledState, dt: float) -> CoupledState:
     """
     kin, fluid = state.kinetic, state.fluid
     vgrid = kin.velocity
-    g = outgoing_trace(kin)
-    flux_out = flux_moment(g)
+    flux_out = flux_moment(outgoing_trace(kin))
 
-    u_first = fluid.values[0]
-    negative_semi_flux = -0.5 * min(u_first, 0.0) ** 2
+    negative_semi_flux = -0.5 * min(fluid.values[0], 0.0) ** 2
     new_fluid = fluid_step_with_boundary_flux(fluid, flux_out + negative_semi_flux, dt)
     u0 = boundary_trace(new_fluid)
 
-    eq = maxwellian_values(u0, vgrid)
-    returning = np.where(vgrid.positive, 0.0, eq)
-    bc = InflowBoundary(left=state.far_left_inflow, right=returning)
-    new_kin = kinetic_step(kin, bc, StiffnessProfile.uniform(kin.space, 1.0), dt)
-
+    nan = float("nan")
     record = InterfaceRecord(
-        time=new_kin.time,
-        flux_out=flux_out,
-        v=float(np.sqrt(max(2.0 * flux_out, 0.0))),
-        u_trace=u0,
-        layer_flux=float("nan"),
-        cone_defect=float("nan"),
-        layer_class=None,
-        back_flux_values=returning.copy(),
-        interface_defect=float("nan"),
-        layer_iterations=0,
-        layer_residual=float("nan"),
+        time=kin.time + dt, flux_out=flux_out, v=_fluid_datum(flux_out), u_trace=u0,
+        layer_flux=nan, cone_defect=nan, layer_class=None,
+        back_flux_values=np.where(vgrid.positive, 0.0, maxwellian_values(u0, vgrid)),
+        interface_defect=nan, layer_iterations=0, layer_residual=nan,
     )
-    log = state.trace_log + [record]
-    return CoupledState(new_kin, new_fluid, state.far_left_inflow, None, log)
+    return _exchange(state, dt, new_fluid, record)
+
+
+def _exchange(
+    state: CoupledState, dt: float, new_fluid: FluidField, record: InterfaceRecord, layer=None, previous=None
+) -> CoupledState:
+    """Shared tail of both couplings: the kinetic step, then the new state with record logged.
+
+    record.back_flux_values is the kinetic right-edge inflow as it is; the
+    step only reads it, so the log and the inflow share one array.  layer
+    and previous are the new state's layer and previous_layer_values.
+    """
+    kin = state.kinetic
+    bc = InflowBoundary(left=state.far_left_inflow, right=record.back_flux_values)
+    new_kin = kinetic_step(kin, bc, StiffnessProfile.uniform(kin.space, 1.0), dt)
+    return CoupledState(
+        new_kin, new_fluid, state.far_left_inflow, layer, state.trace_log + [record], previous
+    )
 
 
 @dataclass

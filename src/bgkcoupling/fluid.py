@@ -153,10 +153,6 @@ def build_bln_certificate(u: float, g: DiscreteDistribution, tol: float = TOL_BL
     return BlnCertificate(u=u, v=v, h_values=h, m_edges=m)
 
 
-def _interior_fluxes(values: np.ndarray) -> np.ndarray:
-    return godunov_flux(values[:-1], values[1:])
-
-
 def _check_cfl(field: FluidField, dt: float, v_boundary: float = 0.0):
     speed = max(float(np.abs(field.values).max(initial=0.0)), abs(v_boundary))
     if speed > 0 and dt * speed / field.grid.dx > 1.0 + 1e-12:
@@ -171,8 +167,9 @@ def fluid_step(field: FluidField, v_boundary: float, dt: float) -> FluidField:
     if v_boundary < 0:
         raise BlnError(f"boundary datum must be nonnegative, got {v_boundary}")
     _check_cfl(field, dt, v_boundary)
-    left_flux = godunov_flux(v_boundary, field.values[0])
-    return _advance(field, left_flux, dt)
+    u = field.values
+    # the n + 1 faces at once: v left of the first cell, the ghost u[-1] right of the last
+    return _advance(field, godunov_flux(np.concatenate(([v_boundary], u)), np.append(u, u[-1])), dt)
 
 
 def fluid_step_with_boundary_flux(field: FluidField, boundary_flux: float, dt: float) -> FluidField:
@@ -182,15 +179,19 @@ def fluid_step_with_boundary_flux(field: FluidField, boundary_flux: float, dt: f
     admissibility mechanism and imposes the incoming flux as-is.
     """
     _check_cfl(field, dt)
-    return _advance(field, boundary_flux, dt)
-
-
-def _advance(field: FluidField, left_flux: float, dt: float) -> FluidField:
     u = field.values
-    interior = _interior_fluxes(u)
-    right_flux = godunov_flux(u[-1], u[-1])
-    fluxes = np.concatenate(([left_flux], interior, [right_flux]))
-    values = u - (dt / field.grid.dx) * np.diff(fluxes)
+    # the n faces right of each cell, the ghost u[-1] right of the last
+    return _advance(field, np.append(boundary_flux, godunov_flux(u, np.append(u[1:], u[-1]))), dt)
+
+
+def _advance(field: FluidField, fluxes: np.ndarray, dt: float) -> FluidField:
+    """Conservative update from the n + 1 face fluxes, the boundary face x = 0 first.
+
+    Every face flux comes from one godunov_flux call per step, so each face
+    gets the same elementwise arithmetic; the right face is the zero-gradient
+    ghost's flux f(u[-1]) and emits no wave.
+    """
+    values = field.values - (dt / field.grid.dx) * np.diff(fluxes)
     return FluidField(field.grid, values, field.time + dt)
 
 

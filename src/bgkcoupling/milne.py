@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,75 +156,53 @@ def classify(data: LayerData) -> LayerClass:
     return LayerClass.SHOCK
 
 
+def _far_state(data: LayerData, classification: LayerClass) -> float:
+    """Far density u_infinity of the layer: +sqrt(2V) in the relaxation class, -sqrt(2V) in the shock class."""
+    u_inf = float(np.sqrt(2.0 * max(data.flux, 0.0)))
+    return -u_inf if classification is LayerClass.SHOCK else u_inf
+
+
 def start_profile(data: LayerData, classification: LayerClass, grid: LayerGrid) -> np.ndarray:
     """Monotone seed: zero for relaxation, the far equilibrium for the transition case."""
     vgrid = data.incoming.grid
     n_nodes = grid.n_cells + 1
     if classification is LayerClass.RELAXATION:
         return np.zeros((n_nodes, vgrid.n_cells))
-    u_inf = -np.sqrt(2.0 * data.flux)
-    row = maxwellian_values(u_inf, vgrid)
+    row = maxwellian_values(_far_state(data, classification), vgrid)
     return np.tile(row, (n_nodes, 1))
 
 
-class _SweepWeights:
-    """Exact exponential-integrator weights for one (layer, velocity) grid pair.
+@lru_cache(maxsize=8)
+def _weights(grid: LayerGrid, vgrid: VelocityGrid) -> tuple:
+    """Exact exponential-integrator weights (wa, wb, decay, powers) of one grid pair.
 
-    Arrays ending in _pos act on the xi > 0 columns [half:], those ending in
-    _neg on the xi < 0 columns [:half].  The relaxation march reads only the
-    _pos arrays.  The sweep's own tables, sweep_tables, follow its one-block
-    column order and are built on the first sweep, so a grid pair that only
-    ever marches relaxation-class layers never pays for them.
+    The arrays follow the sweep's block columns [xi < 0 | xi > 0], where row
+    k of the xi < 0 columns is node n - 1 - k, so both halves integrate
+    downward in row order: wa weighs the source of the row above (the far
+    node for xi < 0, the near node for xi > 0), wb that of the row itself,
+    decay is e^(-dy/|xi|), and powers are the doubling scan's decay^(2^r)
+    per round.  The xi > 0 columns [half:] are the velocity grid's own, so
+    the relaxation march reads them as they are.  Each half's exp and expm1
+    run on that half alone.  Both grids hash on their defining numbers.
     """
-
-    def __init__(self, grid: LayerGrid, vgrid: VelocityGrid):
-        h = vgrid.half
-        xi_pos = vgrid.centers[h:]
-        xi_neg = -vgrid.centers[:h]
-        h_pos = grid.dy / xi_pos
-        h_neg = grid.dy / xi_neg
-        self.n_nodes = grid.n_cells + 1
-        self.decay_pos = np.exp(-h_pos)
-        self.decay_neg = np.exp(-h_neg)
-        a_pos = -np.expm1(-h_pos)          # 1 - e^-h
-        a_neg = -np.expm1(-h_neg)
-        self.w_far_pos = 1.0 - a_pos / h_pos      # weight of the downstream node source
-        self.w_near_pos = a_pos - self.w_far_pos
-        self.w_far_neg = a_neg / h_neg - self.decay_neg
-        self.w_near_neg = a_neg - self.w_far_neg
-
-    @cached_property
-    def sweep_tables(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-        """(wa, wb, powers) over the block columns [xi < 0 | xi > 0].
-
-        In the block, row k of the xi < 0 columns is node n - 1 - k, so both
-        halves integrate downward in row order: wa weighs the source of the
-        row above (the far node for xi < 0, the near node for xi > 0), wb
-        that of the row itself, and powers are the doubling scan's
-        decay^(2^r) per round.
-        """
-        wa = np.concatenate((self.w_far_neg, self.w_near_pos))
-        wb = np.concatenate((self.w_near_neg, self.w_far_pos))
-        decay = np.concatenate((self.decay_neg, self.decay_pos))
-        return wa, wb, _doubling_powers(decay, self.n_nodes)
-
-
-def _doubling_powers(d: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """d, d^2, d^4, ...: the factor of each round of a doubling scan over n rows."""
+    h = vgrid.half
+    h_pos = grid.dy / vgrid.centers[h:]
+    h_neg = grid.dy / -vgrid.centers[:h]
+    decay_pos = np.exp(-h_pos)
+    decay_neg = np.exp(-h_neg)
+    a_pos = -np.expm1(-h_pos)          # 1 - e^-h
+    a_neg = -np.expm1(-h_neg)
+    w_far_pos = 1.0 - a_pos / h_pos    # weight of the downstream node source
+    w_far_neg = a_neg / h_neg - decay_neg
+    wa = np.concatenate((w_far_neg, a_pos - w_far_pos))
+    wb = np.concatenate((a_neg - w_far_neg, w_far_pos))
+    decay = np.concatenate((decay_neg, decay_pos))
     powers = []
-    p = d
-    step = 1
-    while step < n:
+    p = decay
+    while 1 << len(powers) < grid.n_cells + 1:
         powers.append(p)
         p = p * p
-        step *= 2
-    return tuple(powers)
-
-
-@lru_cache(maxsize=8)
-def _weights(grid: LayerGrid, vgrid: VelocityGrid) -> _SweepWeights:
-    # both grids hash on their defining numbers, not on their arrays
-    return _SweepWeights(grid, vgrid)
+    return wa, wb, decay, tuple(powers)
 
 
 def _scan_lower(y: np.ndarray, powers: tuple[np.ndarray, ...], scratch: np.ndarray) -> None:
@@ -298,7 +276,7 @@ def golse_iterate(
         raise GridMismatchError(f"profile shape {values.shape} does not match the grids")
     if out is None:
         out = np.empty_like(values)
-    wa, wb, powers = _weights(grid, vgrid).sweep_tables
+    wa, wb, _, powers = _weights(grid, vgrid)
     h = vgrid.half
     datum = data.incoming.values
     u = vgrid.dxi * values.sum(axis=1)
@@ -363,23 +341,19 @@ def _anderson_mix(
     np.dot(alpha, ring.reshape(n, -1), out=out.reshape(-1))
 
 
-def solve_layer(
-    data: LayerData,
-    grid: LayerGrid,
-    tol_fix: float = TOL_FIX,
-    start: np.ndarray | None = None,
-) -> LayerProfile:
+def solve_layer(data: LayerData, grid: LayerGrid, start: np.ndarray | None = None) -> LayerProfile:
     """Iterate the sweep to a fixed point.
 
     Parameters
     ----------
     data : flux and incoming half-range profile; must lie in the admissible cone.
     grid : layer grid on [0, y_max].
-    tol_fix : stop when the sup-over-nodes L1 slice change drops below this;
-        ConvergenceError after MAX_ITER sweeps.
     start : optional warm-start profile, read but never written; when
         omitted the monotone seed for the detected regime is used and
         monotonicity is tracked.
+
+    The solve stops once the sup-over-nodes L1 slice change is at most
+    TOL_FIX, and raises ConvergenceError after MAX_ITER sweeps.
 
     A warm start of shock-class data mixes each new sweep output with the
     previous two (Anderson, depth 2); every other solve is the plain sweep
@@ -419,7 +393,7 @@ def solve_layer(
             np.dot(change, ones, out=residuals[slot])
         np.abs(change, out=change)
         last_change = dxi * float(change.sum(axis=1).max())
-        if last_change <= tol_fix:
+        if last_change <= TOL_FIX:
             values = swept.copy()   # a slot is a view; the profile keeps none of the ring
             break
         if depth:
@@ -428,17 +402,14 @@ def solve_layer(
             values, slots[0] = swept, values
     else:
         raise ConvergenceError(
-            f"layer iteration did not reach {tol_fix} in {MAX_ITER} sweeps", residual=last_change
+            f"layer iteration did not reach {TOL_FIX} in {MAX_ITER} sweeps", residual=last_change
         )
-    u_inf = float(np.sqrt(2.0 * max(data.flux, 0.0)))
-    if classification is LayerClass.SHOCK:
-        u_inf = -u_inf
     return LayerProfile(
         grid=grid,
         velocity=vgrid,
         values=values,
         classification=classification,
-        u_infinity=u_inf,
+        u_infinity=_far_state(data, classification),
         iterations=iteration,
         last_change=last_change,
         min_increment=float(min_increment) if cold else float("nan"),
@@ -462,13 +433,14 @@ def relaxation_layer_profile(data: LayerData, grid: LayerGrid) -> LayerProfile:
     if classification is not LayerClass.RELAXATION:
         raise ValueError("causal march applies to relaxation-class data only")
     vgrid = data.incoming.grid
-    w = _weights(grid, vgrid)
     h = vgrid.half
+    wa, wb, decay, _ = _weights(grid, vgrid)
+    w_near, w_far, decay = wa[h:], wb[h:], decay[h:]
     le_pos = vgrid.edges[h:-1]
     dxi = vgrid.dxi
     n_pos = le_pos.size
     edges_pos = np.append(le_pos, le_pos[-1] + dxi)
-    far_cum = dxi * np.concatenate(((0.0,), np.cumsum(w.w_far_pos)))
+    far_cum = dxi * np.concatenate(((0.0,), np.cumsum(w_far)))
     n_nodes = grid.n_cells + 1
     values = np.zeros((n_nodes, vgrid.n_cells))
     values[0, h:] = data.incoming.values[h:]
@@ -478,7 +450,7 @@ def relaxation_layer_profile(data: LayerData, grid: LayerGrid) -> LayerProfile:
     residual = 0.0
     row = values[0, h:]
     for k in range(grid.n_cells):
-        base = w.decay_pos * row + w.w_near_pos * eq
+        base = decay * row + w_near * eq
         base_sum = dxi * float(base.sum())
         # The node equation u = base_sum + dxi * sum_j w_far_j * M_j(u) is
         # piecewise linear and increasing in u, with slope w_far < 1 in the
@@ -493,26 +465,25 @@ def relaxation_layer_profile(data: LayerData, grid: LayerGrid) -> LayerProfile:
         if p >= n_pos:
             u = base_sum + far_cum[-1]
         else:
-            u = (base_sum + far_cum[p] - w.w_far_pos[p] * le_pos[p]) / (1.0 - w.w_far_pos[p])
+            u = (base_sum + far_cum[p] - w_far[p] * le_pos[p]) / (1.0 - w_far[p])
         for _ in range(8):
-            u_next = base_sum + dxi * float(np.dot(w.w_far_pos, maxwellian_values(u, vgrid)[h:]))
+            u_next = base_sum + dxi * float(np.dot(w_far, maxwellian_values(u, vgrid)[h:]))
             done = abs(u_next - u) <= 5e-15 * max(1.0, abs(u_next))
             u = u_next
             if done:
                 break
         eq = maxwellian_values(u, vgrid)[h:]
-        residual = max(residual, abs(u - (base_sum + dxi * float(np.dot(w.w_far_pos, eq)))))
-        row = base + w.w_far_pos * eq
+        residual = max(residual, abs(u - (base_sum + dxi * float(np.dot(w_far, eq)))))
+        row = base + w_far * eq
         values[k + 1, h:] = row
     if residual > 1e-9:
         raise ConvergenceError("node density solve inconsistent in the causal march", residual=residual)
-    u_inf = float(np.sqrt(2.0 * max(data.flux, 0.0)))
     return LayerProfile(
         grid=grid,
         velocity=vgrid,
         values=values,
-        classification=LayerClass.RELAXATION,
-        u_infinity=u_inf,
+        classification=classification,
+        u_infinity=_far_state(data, classification),
         iterations=1,
         last_change=residual,
         min_increment=float("nan"),

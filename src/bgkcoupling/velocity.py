@@ -60,8 +60,9 @@ class VelocityGrid:
     centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.half_width < np.inf:    # NaN fails it too
-            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        # NaN fails it too; a product, since a float's ** raises on overflow
+        if not (0 < self.half_width and self.half_width * self.half_width < np.inf):
+            raise ValueError(f"half_width must be positive and finite, and so must its square, got {self.half_width}")
         if self.n_cells <= 0 or self.n_cells % 2 != 0:
             raise ValueError(f"n_cells must be a positive even integer, got {self.n_cells}")
         edges = np.linspace(-self.half_width, self.half_width, self.n_cells + 1)

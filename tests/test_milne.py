@@ -348,7 +348,7 @@ def test_warm_shock_solve_is_mixed_and_as_accurate(shock_warm_solve):
     # tol_fix = 1e-8 lands within 3e-6 of it here, and the mixed solve must
     # meet the same 1e-5.
     bound = 1e-5
-    tight = solve_layer(data, grid, tol_fix=1e-13).values
+    tight, _, _, _ = plain_sweep_reference(data, grid, tol_fix=1e-13)
     plain, plain_iterations, _, _ = plain_sweep_reference(data, grid, start=start)
     mixed = solve_layer(data, grid, start=start)
     assert np.abs(plain - tight).max() <= bound

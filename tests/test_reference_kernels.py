@@ -3,7 +3,9 @@
 The equilibrium table and the layer sweep read the two velocity half-ranges
 as contiguous column blocks, and the kinetic step runs velocity-major on the
 band of rows its data reach.  The references below are the same arithmetic
-written with the positive mask, np.where and full-array neighbour copies.  Every comparison is bitwise: same dtype, same shape, same
+written with the positive mask, np.where and full-array neighbour copies.
+The fluid step, one Godunov call over all its faces, is checked against
+its three-call form.  Every comparison is bitwise: same dtype, same shape, same
 bytes (so a signed zero counts too).
 """
 
@@ -23,12 +25,11 @@ from bgkcoupling import (
     VelocityGrid,
     flux_moment,
     golse_iterate,
-    relaxation_layer_profile,
     run_coupled,
     stable_dt,
     step,
 )
-from bgkcoupling import kinetic, milne
+from bgkcoupling import fluid, kinetic, milne
 from bgkcoupling.experiments import (
     ScenarioConfig,
     build_coupled_initial,
@@ -126,6 +127,15 @@ def ref_step(field, bc, stiffness, dt):
     eq = ref_equilibrium(u[:, None], vgrid)
     w = -np.expm1(-stiffness.alpha * dt)
     return transported + w[:, None] * (eq - transported)
+
+
+def ref_fluid_step(field, left_flux, dt):
+    """Godunov step in three calls: the given left flux, the interior faces, the right ghost."""
+    u = field.values
+    interior = fluid.godunov_flux(u[:-1], u[1:])
+    right_flux = fluid.godunov_flux(u[-1], u[-1])
+    fluxes = np.concatenate(([left_flux], interior, [right_flux]))
+    return u - (dt / field.grid.dx) * np.diff(fluxes)
 
 
 # -- bitwise pins ----------------------------------------------------------
@@ -359,18 +369,6 @@ def test_golse_iterate_matches_mask_reference_bitwise_off_power_of_two(n_cells):
     assert_bitwise_equal(golse_iterate(data, grid, values), ref_golse_iterate(data, grid, values))
 
 
-def test_relaxation_march_builds_no_sweep_tables():
-    vg = VelocityGrid(1.0, 40)
-    grid = LayerGrid(7.0, 123)           # a pair no other test uses
-    incoming = DiscreteDistribution(vg, np.where(vg.positive, maxwellian_values(0.6, vg), 0.0))
-    data = LayerData(flux_moment(incoming), incoming)
-    relaxation_layer_profile(data, grid)
-    weights = _weights(grid, vg)
-    assert "sweep_tables" not in vars(weights)
-    golse_iterate(data, grid, np.zeros((grid.n_cells + 1, vg.n_cells)))
-    assert "sweep_tables" in vars(weights)
-
-
 def test_sweep_weight_cache_stays_bounded():
     limit = _weights.cache_info().maxsize
     vg = VelocityGrid(1.0, 40)
@@ -520,3 +518,51 @@ def test_coupled_march_matches_the_reference_sweep_bytewise(scenario, monkeypatc
     reference, _ = run_coupled(initial(config), dt, n_steps, params)
     assert sum(r.layer_iterations for r in banded.trace_log) > n_steps
     assert record_bytes(banded) == record_bytes(reference)
+
+
+# -- the fluid step ----------------------------------------------------------
+
+def fluid_case(n_cells, rng):
+    """Random Burgers cells with signed zeros and sonic pairs, and a CFL-safe dt."""
+    u = rng.uniform(-1.0, 1.0, n_cells)
+    u[rng.random(n_cells) < 0.15] = 0.0
+    u[rng.random(n_cells) < 0.15] = -0.0
+    u[0] = -0.5                          # the boundary face sees a returning first cell
+    if n_cells > 1:
+        u[:2] = (-0.5, 0.5)              # sonic rarefaction at the first interior face
+    if n_cells > 3:
+        u[-2:] = (0.5, -0.5)             # transonic shock at the last interior face
+    grid = kinetic.SpaceGrid(0.0, 1.0, n_cells)
+    return fluid.FluidField(grid, u), 0.9 * grid.dx
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 200])
+@pytest.mark.parametrize("seed", range(4))
+def test_fluid_steps_match_the_three_call_reference_bitwise(n_cells, seed):
+    rng = np.random.default_rng(seed)
+    field, dt = fluid_case(n_cells, rng)
+    for v in (0.0, -0.0, 0.5, float(rng.uniform(0.0, 1.0))):
+        left_flux = fluid.godunov_flux(v, field.values[0])
+        assert_bitwise_equal(fluid.fluid_step(field, v, dt).values, ref_fluid_step(field, left_flux, dt))
+    for boundary_flux in (0.0, -0.0, -0.125, float(rng.uniform(0.0, 0.5))):
+        assert_bitwise_equal(
+            fluid.fluid_step_with_boundary_flux(field, boundary_flux, dt).values,
+            ref_fluid_step(field, boundary_flux, dt),
+        )
+
+
+@pytest.mark.parametrize("mode", ["limit", "naive"])
+def test_one_godunov_flux_call_per_fluid_step(mode, monkeypatch):
+    config = ScenarioConfig(scenario="relaxation", n_x=40, n_xi=8, layer_n_y=40)
+    dt, _ = scenario_dt(config)
+    calls = []
+    flux = fluid.godunov_flux
+
+    def counted(*args):
+        calls.append(np.shape(args[0]))
+        return flux(*args)
+
+    monkeypatch.setattr(fluid, "godunov_flux", counted)
+    state, _ = run_coupled(build_coupled_initial(config), dt, 5, coupling_params_of(config), mode=mode)
+    assert len(state.trace_log) == 5
+    assert calls == [(config.fluid_grid().n_cells + (mode == "limit"),)] * 5

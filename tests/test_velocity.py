@@ -56,6 +56,17 @@ def test_nonfinite_half_width_rejected(half_width):
         VelocityGrid(half_width, 8)
 
 
+@pytest.mark.parametrize("half_width", [1e155, 1e300])
+def test_half_width_with_an_overflowing_square_rejected(half_width):
+    # the largest flux the interval carries is 0.5 * half_width^2
+    with pytest.raises(ValueError, match="and so must its square"):
+        VelocityGrid(half_width, 8)
+
+
+def test_half_width_with_a_finite_square_accepted():
+    assert VelocityGrid(1e154, 8).dxi == 2.5e153
+
+
 def test_maxwellian_moments_closed_form():
     rng = np.random.default_rng(7)
     for u in rng.uniform(-1.0, 1.0, 100):
