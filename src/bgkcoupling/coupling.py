@@ -30,6 +30,16 @@ as a standing transition sits at the interface.
 Each variant fills the step's InterfaceRecord in its own way and hands it
 to one shared tail, _exchange, which runs the kinetic step with the
 record's returning slice as the right-edge inflow and logs the record.
+
+Called on a CoupledState, either step sets up a one-step kinetic kernel
+(kinetic._March), builds the new state's KineticField from it and logs into
+a new list, so the input is never written.  run_coupled instead owns one
+kernel for its whole march: its steps pass a _MarchState, whose kinetic
+side becomes that kernel at the first step's exchange (where the kinetic
+checks run, after the fluid step and the layer solve), is advanced in place
+by each later step and gets each step's record appended to one trace_log.
+A KineticField is built from the kernel only where one is read: a
+snapshot, the final state, or the last good state of a failed march.
 """
 
 from __future__ import annotations
@@ -50,9 +60,9 @@ from .kinetic import (
     InflowBoundary,
     KineticField,
     StiffnessProfile,
+    _March,
     l1_field_distance,
     outgoing_trace,
-    step as kinetic_step,
 )
 from .milne import (
     LayerClass,
@@ -244,14 +254,36 @@ def _exchange(
 
     record.back_flux_values is the kinetic right-edge inflow as it is; the
     step only reads it, so the log and the inflow share one array.  layer
-    and previous are the new state's layer and previous_layer_values.
+    and previous are the new state's layer and previous_layer_values.  A
+    KineticField gets its kernel set up here, with every kinetic check.
     """
     kin = state.kinetic
-    bc = InflowBoundary(left=state.far_left_inflow, right=record.back_flux_values)
-    new_kin = kinetic_step(kin, bc, StiffnessProfile.uniform(kin.space, 1.0), dt)
+    if isinstance(kin, KineticField):
+        bc = InflowBoundary(left=state.far_left_inflow, right=record.back_flux_values)
+        kin = _March(kin, bc, StiffnessProfile.uniform(kin.space, 1.0), dt)
+        kin.advance()
+    else:
+        kin.advance(record.back_flux_values)
+    if isinstance(state, _MarchState):
+        state.trace_log.append(record)
+        return _MarchState(kin, new_fluid, state.far_left_inflow, layer, state.trace_log, previous)
     return CoupledState(
-        new_kin, new_fluid, state.far_left_inflow, layer, state.trace_log + [record], previous
+        kin.finish(), new_fluid, state.far_left_inflow, layer, state.trace_log + [record], previous
     )
+
+
+class _MarchState(CoupledState):
+    """run_coupled's state between two steps (see the module docstring).
+
+    kinetic is the start field until the first exchange, then the march's
+    kernel, which reads like a KineticField.  plain() ends the march.
+    """
+
+    def plain(self) -> CoupledState:
+        kin = self.kinetic if isinstance(self.kinetic, KineticField) else self.kinetic.finish()
+        return CoupledState(
+            kin, self.fluid, self.far_left_inflow, self.layer, self.trace_log, self.previous_layer_values
+        )
 
 
 @dataclass
@@ -301,17 +333,21 @@ def run_coupled(
             )
         )
 
+    march = _MarchState(
+        state.kinetic, state.fluid, state.far_left_inflow, state.layer,
+        list(state.trace_log), state.previous_layer_values,
+    )
     if log_every:
-        record(state)
+        record(march)
     for n in range(n_steps):
         try:
-            state = coupled_step(state, dt, layer_grid) if mode == "limit" else naive_coupled_step(state, dt)
+            march = coupled_step(march, dt, layer_grid) if mode == "limit" else naive_coupled_step(march, dt)
         except SOLVER_ERRORS as exc:
-            exc.march_prefix = MarchPrefix(state, snapshots, n, n * dt)
+            exc.march_prefix = MarchPrefix(march.plain(), snapshots, n, n * dt)
             raise
         if log_every and ((n + 1) % log_every == 0 or n + 1 == n_steps):
-            record(state)
-    return state, snapshots
+            record(march)
+    return march.plain(), snapshots
 
 
 def state_distance(a: CoupledState, b: CoupledState) -> float:

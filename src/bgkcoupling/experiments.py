@@ -12,6 +12,7 @@ rescaled layer variables y = x / eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict, field as dc_field, fields
 
 import numpy as np
@@ -58,8 +59,13 @@ SWEEP_WINDOW_Y = 0.5    # negative-mass window in y (steady shock family)
 
 
 def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
-    """A finite int or float; bool, NaN and infinities are not numbers here."""
-    return isinstance(value, kinds) and not isinstance(value, bool) and abs(value) < np.inf
+    """An int or float that converts to a finite float; bool is not a number here."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:    # an int beyond the float range
+        return False
 
 
 # ScenarioConfig field annotation -> (accepts the value, what it must be)

@@ -7,17 +7,18 @@ used in the scale-limit experiments), and inflow values are prescribed on the
 incoming half-range at each end.
 
 KineticField holds f row-major, one row per space cell.  The solver itself
-runs one kernel (_march) for step and run_with_history: it holds f
-velocity-major, one contiguous row per velocity cell, updates only the band
-of rows that the field, the inflows or the equilibria reach, and sums each
-density over those rows in order.  A march transposes the field once each
-way, and step does the same.
+runs one kernel (_March) for step, run_with_history and the coupled march
+(coupling.run_coupled): it holds f velocity-major, one contiguous row per
+velocity cell, updates only the band of rows that the field, the inflows or
+the equilibria reach, and sums each density over those rows in order.  A
+march transposes the field in once and builds a KineticField only where one
+is read; step is a march of one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -166,12 +167,13 @@ def step(field: KineticField, bc: InflowBoundary, stiffness: StiffnessProfile, d
     admissible automatically because both substeps are monotone convex
     updates.  Mass changes only through the boundary fluxes.
 
-    The step is the velocity-major kernel of run_with_history (see _march),
-    with one transpose each way and the band taken from the given field.
+    The step is a one-step _March, the velocity-major kernel of
+    run_with_history, with one transpose each way and the band taken from
+    the given field.
     """
-    _check_dt(dt)
-    (values,) = _march(field, bc, stiffness, dt, 1)
-    return KineticField(field.space, field.velocity, values.T.copy(), field.time + dt)
+    march = _March(field, bc, stiffness, dt)
+    march.advance()
+    return march.finish()
 
 
 def _check_dt(dt: float) -> None:
@@ -179,76 +181,116 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must be a nonnegative number, got {dt}")
 
 
-def _march(
-    field: KineticField, bc: InflowBoundary, stiffness: StiffnessProfile, dt: float, n_steps: int
-) -> Iterator[np.ndarray]:
-    """Advance field n_steps, yielding the field after each step as an (n_xi, n_x) array.
+class _March:
+    """The velocity-major kernel of one march: its (n_xi, n_x) field buffer,
+    its transport buffer, the band of rows [lo, hi), nu and the relaxation
+    weights.
 
-    The kernel runs velocity-major: each velocity cell is one contiguous
-    row, and transport, equilibrium and relaxation touch only the rows
-    [lo, hi) that the field's nonzero entries, the nonzero read half of
-    each inflow or the equilibria of a step's densities reach.  The band
-    only grows, and it always holds the split xi = 0.
+    Whoever builds a _March owns it and advances it in place: step for one
+    step, run_with_history for its n_steps, and coupling.run_coupled for its
+    whole march, where each coupled step hands in the layer's new right
+    inflow.  No KineticField is built per step: finish() builds one, a copy,
+    at the end.  Until then the march reads like one (space, velocity, time,
+    values), and values is a live transposed view of the buffer, which the
+    next step overwrites.
 
-    Outside the band the buffers hold +0.0, which is what a full-width step
-    gives those rows, bit for bit: there the field and the inflows are
-    zeros of either sign, so the transport t is a zero, the equilibrium
-    share eq is a zero (see velocity._equilibrium_band), and t + w (eq - t)
-    is +0.0 for any weight w >= +0.0.  A weight that is negative, -0.0 or
-    not finite breaks this argument and makes the band the full range.
+    The constructor runs every check step runs, in its order, before any
+    work: dt, the left and the right inflow, the stiffness profile, the CFL
+    limit.  Within a march only the right inflow may change, and advance
+    checks each new one the same way.
+
+    Transport, equilibrium and relaxation touch only the rows [lo, hi) that
+    the field's nonzero entries, the nonzero read half of each inflow or the
+    equilibria of a step's densities reach.  The band only grows, and it
+    always holds the split xi = 0.  Outside the band the buffers hold +0.0,
+    which is what a full-width step gives those rows, bit for bit: there the
+    field and the inflows are zeros of either sign, so the transport t is a
+    zero, the equilibrium share eq is a zero (see velocity._equilibrium_band),
+    and t + w (eq - t) is +0.0 for any weight w >= +0.0.  A weight that is
+    negative, -0.0 or not finite breaks this argument and makes the band the
+    full range.
 
     Transport and relaxation are the row-major upwind step's arithmetic,
     cell by cell.  A cell's density is dxi times its transported entries
-    added one velocity row at a time, in order, from +0.0, at every n_x;
-    the zeros of the rows outside the band change no such sum, which is
-    never -0.0.  step runs this kernel too, so a march is bitwise a loop of
-    single steps.  The checks run once, before the first step, since
-    nothing they read changes within a march.  The yielded array is the
-    kernel's own buffer, which the next step overwrites.
+    added one velocity row at a time, in order, from +0.0, at every n_x; the
+    zeros of the rows outside the band change no such sum, which is never
+    -0.0.  A band wider than a fresh step's changes no bit, so a march is
+    bitwise a loop of single steps, whatever inflows it is handed.
     """
-    space, vgrid = field.space, field.velocity
-    h = vgrid.half
-    left = bc.left_values(vgrid)
-    right = bc.right_values(vgrid)
-    if bc.left is not None:
-        check_signed_admissible(left[h:])
-    if bc.right is not None:
-        check_signed_admissible(np.negative(right[:h]))
-    if stiffness.alpha.shape != (space.n_cells,):
-        raise GridMismatchError("stiffness profile does not match the space grid")
-    nu = vgrid.centers * dt / space.dx
-    if np.abs(nu).max() > 1.0 + 1e-12:
-        raise CflError(f"dt = {dt} exceeds the CFL limit {space.dx / vgrid.half_width}")
-    w = -np.expm1(-stiffness.alpha * dt)
 
-    n_xi, n_x = vgrid.n_cells, space.n_cells
-    reached = (field.values != 0.0).any(axis=0)
-    reached[h:] |= left[h:] != 0.0
-    reached[:h] |= right[:h] != 0.0
-    columns = np.flatnonzero(reached)
-    lo, hi = (min(h, int(columns[0])), max(h, int(columns[-1]) + 1)) if columns.size else (h, h)
-    if np.signbit(w).any() or not np.isfinite(w).all():
-        lo, hi = 0, n_xi
-    # two buffers, +0.0 outside the band: the field, which each step's
-    # equilibrium and result overwrite, and the transported field
-    f = np.zeros((n_xi, n_x))
-    f[lo:hi] = field.values[:, lo:hi].T
-    t = np.zeros_like(f)
-    for _ in range(n_steps):
-        _upwind(f, t, lo, hi, h, nu, left, right)
+    def __init__(self, field: KineticField, bc: InflowBoundary, stiffness: StiffnessProfile, dt: float):
+        _check_dt(dt)
+        space, vgrid = field.space, field.velocity
+        h = vgrid.half
+        left = bc.left_values(vgrid)
+        right = bc.right_values(vgrid)
+        if bc.left is not None:
+            check_signed_admissible(left[h:])
+        if bc.right is not None:
+            check_signed_admissible(np.negative(right[:h]))
+        if stiffness.alpha.shape != (space.n_cells,):
+            raise GridMismatchError("stiffness profile does not match the space grid")
+        nu = vgrid.centers * dt / space.dx
+        if np.abs(nu).max() > 1.0 + 1e-12:
+            raise CflError(f"dt = {dt} exceeds the CFL limit {space.dx / vgrid.half_width}")
+        w = -np.expm1(-stiffness.alpha * dt)
+
+        n_xi, n_x = vgrid.n_cells, space.n_cells
+        reached = (field.values != 0.0).any(axis=0)
+        reached[h:] |= left[h:] != 0.0
+        columns = np.flatnonzero(reached)
+        lo, hi = (min(h, int(columns[0])), max(h, int(columns[-1]) + 1)) if columns.size else (h, h)
+        if np.signbit(w).any() or not np.isfinite(w).all():
+            lo, hi = 0, n_xi
+        # two buffers, +0.0 outside the band: the field, which each step's
+        # equilibrium and result overwrite, and the transported field
+        self.f = np.zeros((n_xi, n_x))
+        self.f[lo:hi] = field.values[:, lo:hi].T
+        self.t = np.zeros_like(self.f)
+        self.space, self.velocity, self.time, self.dt = space, vgrid, field.time, dt
+        self.lo, self.hi, self.nu, self.w, self.left = lo, hi, nu, w, left
+        self._take_right(right)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.f.T
+
+    def finish(self) -> KineticField:
+        """End the march: its field as a KineticField of its own.
+
+        The transport buffer goes first, so the copy never sits beside both.
+        """
+        self.t = None
+        return KineticField(self.space, self.velocity, self.f.T.copy(), self.time)
+
+    def _take_right(self, right: np.ndarray) -> None:
+        rows = np.flatnonzero(right[: self.velocity.half] != 0.0)
+        if rows.size:
+            self.lo = min(self.lo, int(rows[0]))
+        self.right = right
+
+    def advance(self, right: np.ndarray | None = None) -> None:
+        """One step, from a new right inflow (a full velocity slice) when one is given."""
+        vgrid = self.velocity
+        h = vgrid.half
+        if right is not None:
+            check_signed_admissible(np.negative(right[:h]))
+            self._take_right(right)
+        f, t = self.f, self.t
+        _upwind(f, t, self.lo, self.hi, h, self.nu, self.left, self.right)
         # np.add.reduce sums pairwise at n_x = 1, np.subtract.reduce never
         # pairs, and 0 - ((0 - t_lo) - ...) is the ordered sum exactly
-        u = vgrid.dxi * (0.0 - np.subtract.reduce(t[lo:hi], axis=0, initial=0.0))
+        u = vgrid.dxi * (0.0 - np.subtract.reduce(t[self.lo : self.hi], axis=0, initial=0.0))
         reach_lo, reach_hi = _equilibrium_band(u, vgrid)
-        lo, hi = min(lo, reach_lo), max(hi, reach_hi)
+        self.lo, self.hi = lo, hi = min(self.lo, reach_lo), max(self.hi, reach_hi)
         # transported + w (eq - transported), in place in the band of f
         block = f[lo:hi]
         _covered_shares(u[:, None], u[:, None], vgrid, block.T, lo, hi)
         np.negative(block[: h - lo], out=block[: h - lo])
         block -= t[lo:hi]
-        block *= w
+        block *= self.w
         block += t[lo:hi]
-        yield f
+        self.time += self.dt
 
 
 def _upwind(
@@ -314,7 +356,7 @@ def run_with_history(
     """March n_steps, keeping the final field and the requested snapshots.
 
     The march is bitwise a loop of step calls: both run the one
-    velocity-major kernel (see _march), densities included.  It checks dt
+    velocity-major kernel (see _March), densities included.  It checks dt
     first, as step does, and the inflows, the stiffness profile and the CFL
     limit once; n_steps = 0 runs only the dt check.  A requested time r is
     stored from the first step whose time is at least r - dt/2, the start
@@ -332,12 +374,12 @@ def run_with_history(
     snapshots = {r: field.values.copy() for r in due.get(0, ())}
     final = field
     if n_steps > 0:
-        time = field.time
-        for n, values in enumerate(_march(field, bc, stiffness, dt, n_steps), start=1):
-            time += dt
+        march = _March(field, bc, stiffness, dt)
+        for n in range(1, n_steps + 1):
+            march.advance()
             for r in due.get(n, ()):
-                snapshots[r] = values.T.copy()
-        final = KineticField(field.space, field.velocity, values.T.copy(), time)
+                snapshots[r] = march.values.copy()
+        final = march.finish()
     return KineticHistory(times, field, final, snapshots)
 
 

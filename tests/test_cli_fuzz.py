@@ -61,6 +61,8 @@ def _nonfinite_cells(path: Path, skip: set[str]) -> list[str]:
 @example(command="layer", key="pair_seed", value=math.nan)    # an extra the command never reads
 @example(command="layer", key="half_width", value=1e300)    # its square, the largest flux, overflows
 @example(command="stability", key="half_width", value=1e300)
+@example(command="layer", key="half_width", value=10**400)    # an int no float can hold
+@example(command="coupled", key="half_width", value=10**400)
 def test_one_bad_value_never_escapes(command, key, value):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"

@@ -5,6 +5,7 @@ import pytest
 
 from bgkcoupling import (
     CflError,
+    ConvergenceError,
     LayerClass,
     LayerData,
     ConeError,
@@ -25,7 +26,7 @@ from bgkcoupling import (
     solve_layer,
     state_distance,
 )
-from bgkcoupling import coupling
+from bgkcoupling import coupling, kinetic
 from bgkcoupling.experiments import (
     ScenarioConfig,
     build_coupled_initial,
@@ -121,6 +122,85 @@ def test_naive_failure_keeps_march_prefix():
         assert snap.time == expected.kinetic.time
         np.testing.assert_array_equal(snap.kinetic_values, expected.kinetic.values)
         np.testing.assert_array_equal(snap.fluid_values, expected.fluid.values)
+
+
+def assert_same_state(a: CoupledState, b: CoupledState):
+    assert a.kinetic.time == b.kinetic.time
+    for x, y in (
+        (a.kinetic.values, b.kinetic.values),
+        (a.fluid.values, b.fluid.values),
+        (a.far_left_inflow, b.far_left_inflow),
+        (a.layer.values, b.layer.values),
+        (a.previous_layer_values, b.previous_layer_values),
+    ):
+        assert x.tobytes() == y.tobytes()
+    assert len(a.trace_log) == len(b.trace_log)
+    for r, s in zip(a.trace_log, b.trace_log):
+        assert r.back_flux_values.tobytes() == s.back_flux_values.tobytes()
+        assert (r.time, r.u_trace, r.layer_flux, r.layer_iterations) == (s.time, s.u_trace, s.layer_flux, s.layer_iterations)
+
+
+def test_limit_failure_keeps_march_prefix(monkeypatch):
+    # every step of this march is shock class; the solve of step 3 raises,
+    # after the kept kinetic kernel has taken three steps
+    failing_step = 3
+    config = small_config(scenario="shock")
+    dt, _ = scenario_dt(config)
+    params = coupling_params_of(config)
+    solves = []
+
+    def failing(data, **kwargs):
+        solves.append(data)
+        if len(solves) == failing_step + 1:
+            raise ConvergenceError("stopped on purpose")
+        return solve_layer(data, **kwargs)
+
+    monkeypatch.setattr(coupling, "solve_layer", failing)
+    with pytest.raises(ConvergenceError) as caught:
+        run_coupled(build_coupled_initial(config), dt, 10, params, log_every=2)
+    prefix = caught.value.march_prefix
+
+    solves.clear()
+    state = build_coupled_initial(config)
+    snapshots = [state]
+    for n in range(10):
+        try:
+            following = coupled_step(state, dt, params)
+        except ConvergenceError:
+            break
+        state = following
+        if (n + 1) % 2 == 0:
+            snapshots.append(state)
+    assert n == failing_step
+    assert (prefix.failed_step, prefix.failed_time) == (n, n * dt)
+    assert [r.layer_class for r in state.trace_log] == ["shock"] * n
+    assert_same_state(prefix.state, state)
+    assert len(prefix.snapshots) == len(snapshots) == 2
+    for snap, expected in zip(prefix.snapshots, snapshots):
+        assert snap.time == expected.kinetic.time
+        assert snap.kinetic_values.tobytes() == expected.kinetic.values.tobytes()
+        assert snap.fluid_values.tobytes() == expected.fluid.values.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["limit", "naive"])
+def test_one_kinetic_kernel_set_up_per_march(mode, monkeypatch):
+    set_ups = []
+    set_up = kinetic._March.__init__
+
+    def counted(self, field, *args):
+        set_ups.append(field.time)
+        set_up(self, field, *args)
+
+    monkeypatch.setattr(kinetic._March, "__init__", counted)
+    config = small_config(scenario="relaxation")
+    dt, _ = scenario_dt(config)
+    state = build_coupled_initial(config)
+    final, _ = run_coupled(state, dt, 6, coupling_params_of(config), mode=mode, log_every=2)
+    assert len(final.trace_log) == 6
+    assert set_ups == [0.0]
+    # a plain step sets up a kernel of its own
+    coupled_step(final, dt, coupling_params_of(config)) if mode == "limit" else naive_coupled_step(final, dt)
+    assert set_ups == [0.0, final.kinetic.time]
 
 
 def test_warm_start_matches_cold_start(monkeypatch):

@@ -9,6 +9,8 @@ its three-call form.  Every comparison is bitwise: same dtype, same shape, same
 bytes (so a signed zero counts too).
 """
 
+from contextlib import suppress
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -17,19 +19,23 @@ import pytest
 from bgkcoupling import (
     DiscreteDistribution,
     InflowBoundary,
+    InterfaceRecord,
     KineticField,
     LayerData,
     LayerGrid,
     SpaceGrid,
     StiffnessProfile,
     VelocityGrid,
+    coupled_step,
     flux_moment,
     golse_iterate,
+    naive_coupled_step,
     run_coupled,
     stable_dt,
     step,
 )
 from bgkcoupling import fluid, kinetic, milne
+from bgkcoupling.errors import SOLVER_ERRORS
 from bgkcoupling.experiments import (
     ScenarioConfig,
     build_coupled_initial,
@@ -518,6 +524,122 @@ def test_coupled_march_matches_the_reference_sweep_bytewise(scenario, monkeypatc
     reference, _ = run_coupled(initial(config), dt, n_steps, params)
     assert sum(r.layer_iterations for r in banded.trace_log) > n_steps
     assert record_bytes(banded) == record_bytes(reference)
+
+
+# shock at eta 0.1 and random state 0 as above, and the first 50 steps of
+# random state 1, whose limit march switches from relaxation to shock class
+# at step 37 and back at step 44 (state 0's stays shock class).  In the
+# naive marches, whose returning
+# slice is M(u(0+)) on xi < 0, a later step's inflow reaches velocity rows
+# that the field does not, on state 0 from step 2.  The naive marches of
+# all three raise CflError after 2 to 20 steps, so their prefixes are
+# compared too.
+LOOP_MARCHES = {
+    "shock": MARCHES["shock"],
+    "random-0": MARCHES["random"],
+    "random-1": (ScenarioConfig(scenario="relaxation"), partial(random_coupled_state, seed=1), 50),
+}
+
+
+def march_or_prefix(state, dt, n_steps, params, mode):
+    """run_coupled with a snapshot every step: (final, snapshots, None), or its MarchPrefix and failure."""
+    try:
+        final, snapshots = run_coupled(state, dt, n_steps, params, mode=mode, log_every=1)
+        return final, snapshots, None
+    except SOLVER_ERRORS as exc:
+        prefix = exc.march_prefix
+        return prefix.state, prefix.snapshots, (prefix.failed_step, prefix.failed_time, repr(exc))
+
+
+def step_loop(state, dt, n_steps, params, mode):
+    """The same march as single steps: every state reached, and the failure."""
+    states = [state]
+    for n in range(n_steps):
+        try:
+            state = coupled_step(state, dt, params) if mode == "limit" else naive_coupled_step(state, dt)
+        except SOLVER_ERRORS as exc:
+            return states, (n, n * dt, repr(exc))
+        states.append(state)
+    return states, None
+
+
+def record_fields(record):
+    """Every InterfaceRecord field, floats and arrays as bytes so that NaN and -0.0 compare."""
+    out = []
+    for f in fields(InterfaceRecord):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype, value.shape, value.tobytes())
+        elif isinstance(value, float):
+            value = np.float64(value).tobytes()
+        out.append((f.name, value))
+    return out
+
+
+def returned_arrays(final, snapshots):
+    arrays = [final.kinetic.values, final.fluid.values, final.far_left_inflow]
+    arrays += [r.back_flux_values for r in final.trace_log]
+    arrays += [a for s in snapshots for a in (s.kinetic_values, s.fluid_values)]
+    if final.layer is not None:
+        arrays.append(final.layer.values)
+    return arrays
+
+
+@pytest.mark.parametrize("mode", ["limit", "naive"])
+@pytest.mark.parametrize("scenario", LOOP_MARCHES)
+def test_coupled_march_is_bitwise_a_loop_of_single_steps(scenario, mode):
+    config, initial, n_steps = LOOP_MARCHES[scenario]
+    dt, horizon_steps = scenario_dt(config)
+    n_steps = n_steps or horizon_steps
+    params = coupling_params_of(config)
+    final, snapshots, failure = march_or_prefix(initial(config), dt, n_steps, params, mode)
+    states, loop_failure = step_loop(initial(config), dt, n_steps, params, mode)
+    assert failure == loop_failure
+    assert (failure is not None) == (mode == "naive")
+
+    # the march against the loop: every snapshot, the final state, every record
+    assert len(snapshots) == len(states) == len(final.trace_log) + 1
+    for snapshot, state in zip(snapshots, states):
+        assert snapshot.time == state.kinetic.time
+        assert_bitwise_equal(snapshot.kinetic_values, state.kinetic.values)
+        assert_bitwise_equal(snapshot.fluid_values, state.fluid.values)
+    last = states[-1]
+    assert type(final) is type(last) and type(final.kinetic) is type(last.kinetic)
+    assert final.kinetic.values.flags.owndata
+    assert final.kinetic.time == last.kinetic.time
+    assert_bitwise_equal(final.kinetic.values, last.kinetic.values)
+    assert_bitwise_equal(final.fluid.values, last.fluid.values)
+    assert list(map(record_fields, final.trace_log)) == list(map(record_fields, last.trace_log))
+    if mode == "limit":
+        assert_bitwise_equal(final.layer.values, last.layer.values)
+    if scenario == "random-1" and mode == "limit":
+        assert {r.layer_class for r in final.trace_log} == {"relaxation", "shock"}
+
+    # each step of the kept kernel against the row-major reference step
+    space, velocity = final.kinetic.space, final.kinetic.velocity
+    stiffness = StiffnessProfile.uniform(space, 1.0)
+    h = velocity.half
+    new_rows = []
+    for n, (before, after, record) in enumerate(zip(snapshots, snapshots[1:], final.trace_log)):
+        right = record.back_flux_values
+        bc = InflowBoundary(left=final.far_left_inflow, right=right)
+        expected = ref_step(KineticField(space, velocity, before.kinetic_values), bc, stiffness, dt)
+        assert_bitwise_equal(after.kinetic_values, expected)
+        inflow_rows = np.flatnonzero(right[:h] != 0.0)
+        field_rows = np.flatnonzero((before.kinetic_values != 0.0).any(axis=0))
+        if inflow_rows.size and inflow_rows[0] < field_rows[0]:
+            new_rows.append(n)
+    if scenario == "random-0" and mode == "naive":
+        assert new_rows[0] == 2
+
+    # stepping the returned state again writes to none of the returned arrays
+    kept = [a.copy() for a in returned_arrays(final, snapshots)]
+    with suppress(*SOLVER_ERRORS):
+        coupled_step(final, dt, params) if mode == "limit" else naive_coupled_step(final, dt)
+    with suppress(*SOLVER_ERRORS):
+        run_coupled(final, dt, 3, params, mode=mode, log_every=1)
+    for array, copy in zip(returned_arrays(final, snapshots), kept):
+        assert_bitwise_equal(array, copy)
 
 
 # -- the fluid step ----------------------------------------------------------
