@@ -156,8 +156,8 @@ class CoupledState:
 
 def _negative_flux(values: np.ndarray, grid) -> float:
     """First moment restricted to xi < 0 (nonnegative for admissible data)."""
-    neg = ~grid.positive
-    return grid.dxi * float(np.dot(grid.centers[neg], values[neg]))
+    h = grid.half
+    return grid.dxi * float(np.dot(grid.centers[:h], values[:h]))
 
 
 def _fluid_datum(flux_out: float) -> float:
@@ -237,11 +237,13 @@ def naive_coupled_step(state: CoupledState, dt: float) -> CoupledState:
     new_fluid = fluid_step_with_boundary_flux(fluid, flux_out + negative_semi_flux, dt)
     u0 = boundary_trace(new_fluid)
 
+    returning = maxwellian_values(u0, vgrid)
+    returning[vgrid.half :] = 0.0
     nan = float("nan")
     record = InterfaceRecord(
         time=kin.time + dt, flux_out=flux_out, v=_fluid_datum(flux_out), u_trace=u0,
         layer_flux=nan, cone_defect=nan, layer_class=None,
-        back_flux_values=np.where(vgrid.positive, 0.0, maxwellian_values(u0, vgrid)),
+        back_flux_values=returning,
         interface_defect=nan, layer_iterations=0, layer_residual=nan,
     )
     return _exchange(state, dt, new_fluid, record)

@@ -341,6 +341,20 @@ def _restrict(values: np.ndarray, scale: int) -> np.ndarray:
     return values.reshape(n_fine // scale, scale, n_xi).mean(axis=1)
 
 
+def _window_grid(config: ScenarioConfig, y_window: float) -> LayerGrid:
+    """Grid on [0, y_window] with the layer grid's dy, to the nearest whole cell.
+
+    A ConfigError when the layer grid is so fine that no such grid exists:
+    dy rounds to zero, the cell count overflows, or numpy cannot size it.
+    """
+    try:
+        return LayerGrid(y_window, max(1, int(round(y_window / config.layer_grid().dy))))
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(
+            [f"layer_y_max, layer_n_y: no grid on the y window [0, {y_window}] has their dy ({exc})"]
+        ) from None
+
+
 def run_convergence_study(config: ScenarioConfig, jobs: int = 1) -> ConvergenceReport:
     """Compare the eps ladder against the limit system, region by region.
 
@@ -354,6 +368,8 @@ def run_convergence_study(config: ScenarioConfig, jobs: int = 1) -> ConvergenceR
     """
     if len(config.epsilons) < 3:
         raise ConfigError(["epsilons: a convergence study needs at least three ladder values"])
+    compare_grid = _window_grid(config, COMPARE_Y_MAX)
+    sweep_grid = _window_grid(config, SWEEP_WINDOW_Y)
     limit_state, _ = run_limit_system(config)
     vgrid = config.velocity_grid()
     fullgrid = config.full_grid()
@@ -378,8 +394,6 @@ def run_convergence_study(config: ScenarioConfig, jobs: int = 1) -> ConvergenceR
     limit_kin = limit_state.kinetic.values
     limit_u = limit_state.fluid.values
     right_centers = fullgrid.centers[n_left:]
-    compare_grid = LayerGrid(COMPARE_Y_MAX, max(1, int(round(COMPARE_Y_MAX / config.layer_grid().dy))))
-    sweep_grid = LayerGrid(SWEEP_WINDOW_Y, max(1, int(round(SWEEP_WINDOW_Y / config.layer_grid().dy))))
 
     for eps, scale, fine_values in zip(config.epsilons, scales, finals):
         values = _restrict(fine_values, scale)

@@ -63,14 +63,17 @@ def godunov_flux(u_left, u_right):
     """Exact-Riemann flux for f(u) = u^2/2; accepts scalars or arrays.
 
     min of the flux over [u_left, u_right] when u_left <= u_right (zero across
-    a sonic fan), max of the endpoint fluxes otherwise.
+    a sonic fan), max of the endpoint fluxes otherwise.  For the convex flux
+    with its minimum at 0 both cases are one closed form,
+
+        0.5 * max(max(u_left, 0)^2, min(u_right, 0)^2),
+
+    bit for bit: each square is a square of the data or +0.0, and rounding
+    the product by 0.5 is monotone, so it commutes with the max.
     """
     ul = np.asarray(u_left, dtype=float)
     ur = np.asarray(u_right, dtype=float)
-    fl = 0.5 * ul**2
-    fr = 0.5 * ur**2
-    rarefaction = np.where((ul <= 0.0) & (ur >= 0.0), 0.0, np.minimum(fl, fr))
-    out = np.where(ul <= ur, rarefaction, np.maximum(fl, fr))
+    out = 0.5 * np.maximum(np.square(np.maximum(ul, 0.0)), np.square(np.minimum(ur, 0.0)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -167,9 +170,8 @@ def fluid_step(field: FluidField, v_boundary: float, dt: float) -> FluidField:
     if v_boundary < 0:
         raise BlnError(f"boundary datum must be nonnegative, got {v_boundary}")
     _check_cfl(field, dt, v_boundary)
-    u = field.values
-    # the n + 1 faces at once: v left of the first cell, the ghost u[-1] right of the last
-    return _advance(field, godunov_flux(np.concatenate(([v_boundary], u)), np.append(u, u[-1])), dt)
+    states = _face_states(v_boundary, field.values)
+    return _advance(field, godunov_flux(states[:-1], states[1:]), dt)
 
 
 def fluid_step_with_boundary_flux(field: FluidField, boundary_flux: float, dt: float) -> FluidField:
@@ -179,19 +181,29 @@ def fluid_step_with_boundary_flux(field: FluidField, boundary_flux: float, dt: f
     admissibility mechanism and imposes the incoming flux as-is.
     """
     _check_cfl(field, dt)
-    u = field.values
-    # the n faces right of each cell, the ghost u[-1] right of the last
-    return _advance(field, np.append(boundary_flux, godunov_flux(u, np.append(u[1:], u[-1]))), dt)
+    buf = _face_states(boundary_flux, field.values)
+    # the n Riemann fluxes right of the cells overwrite them, after the prescribed flux at x = 0
+    buf[1:-1] = godunov_flux(buf[1:-1], buf[2:])
+    return _advance(field, buf[:-1], dt)
+
+
+def _face_states(first: float, u: np.ndarray) -> np.ndarray:
+    """One array of n + 2 values: first, the n cells, the zero-gradient ghost u[-1].
+
+    Its neighbour pairs are the states at the n + 1 faces, x = 0 first.  The
+    ghost's face flux is f(u[-1]) and emits no wave.  One godunov_flux call
+    per step gives every face the same elementwise arithmetic.
+    """
+    states = np.empty(u.size + 2)
+    states[0] = first
+    states[1:-1] = u
+    states[-1] = u[-1]
+    return states
 
 
 def _advance(field: FluidField, fluxes: np.ndarray, dt: float) -> FluidField:
-    """Conservative update from the n + 1 face fluxes, the boundary face x = 0 first.
-
-    Every face flux comes from one godunov_flux call per step, so each face
-    gets the same elementwise arithmetic; the right face is the zero-gradient
-    ghost's flux f(u[-1]) and emits no wave.
-    """
-    values = field.values - (dt / field.grid.dx) * np.diff(fluxes)
+    """Conservative update from the n + 1 face fluxes, the boundary face x = 0 first."""
+    values = field.values - (dt / field.grid.dx) * np.subtract(fluxes[1:], fluxes[:-1])
     return FluidField(field.grid, values, field.time + dt)
 
 

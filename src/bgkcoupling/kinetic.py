@@ -264,7 +264,8 @@ class _March:
         return KineticField(self.space, self.velocity, self.f.T.copy(), self.time)
 
     def _take_right(self, right: np.ndarray) -> None:
-        rows = np.flatnonzero(right[: self.velocity.half] != 0.0)
+        # nonzero, like != 0.0, passes a NaN and drops a -0.0
+        rows = right[: self.velocity.half].nonzero()[0]
         if rows.size:
             self.lo = min(self.lo, int(rows[0]))
         self.right = right
@@ -286,7 +287,8 @@ class _March:
         # transported + w (eq - transported), in place in the band of f
         block = f[lo:hi]
         _covered_shares(u[:, None], u[:, None], vgrid, block.T, lo, hi)
-        np.negative(block[: h - lo], out=block[: h - lo])
+        if lo < h:
+            np.negative(block[: h - lo], out=block[: h - lo])
         block -= t[lo:hi]
         block *= self.w
         block += t[lo:hi]
@@ -301,27 +303,33 @@ def _upwind(
 
     Each half's rows are one flat run of cells, so the neighbour difference
     is one flat subtract; the differences it takes across a row end land in
-    the boundary cells, which the ghost formulas write last.
+    the boundary cells, which the ghost formulas write last.  A half with no
+    row in the band is skipped: its calls would see empty arrays.
     """
     nu_rows = nu[:, None]
-    # xi > 0 rows take from the west neighbour, the left ghost feeding cell 0
-    src, dst = f[h:hi], t[h:hi]
-    np.subtract(src.reshape(-1)[1:], src.reshape(-1)[:-1], out=dst.reshape(-1)[1:])
-    dst *= nu_rows[h:hi]
-    np.subtract(src, dst, out=dst)
-    dst[:, 0] = src[:, 0] - nu[h:hi] * (src[:, 0] - left[h:hi])
-    # xi < 0 rows take from the east neighbour, the right ghost feeding the last cell
-    src, dst = f[lo:h], t[lo:h]
-    np.subtract(src.reshape(-1)[1:], src.reshape(-1)[:-1], out=dst.reshape(-1)[:-1])
-    dst *= nu_rows[lo:h]
-    np.subtract(src, dst, out=dst)
-    dst[:, -1] = src[:, -1] - nu[lo:h] * (right[lo:h] - src[:, -1])
+    if hi > h:
+        # xi > 0 rows take from the west neighbour, the left ghost feeding cell 0
+        src, dst = f[h:hi], t[h:hi]
+        np.subtract(src.reshape(-1)[1:], src.reshape(-1)[:-1], out=dst.reshape(-1)[1:])
+        dst *= nu_rows[h:hi]
+        np.subtract(src, dst, out=dst)
+        dst[:, 0] = src[:, 0] - nu[h:hi] * (src[:, 0] - left[h:hi])
+    if lo < h:
+        # xi < 0 rows take from the east neighbour, the right ghost feeding the last cell
+        src, dst = f[lo:h], t[lo:h]
+        np.subtract(src.reshape(-1)[1:], src.reshape(-1)[:-1], out=dst.reshape(-1)[:-1])
+        dst *= nu_rows[lo:h]
+        np.subtract(src, dst, out=dst)
+        dst[:, -1] = src[:, -1] - nu[lo:h] * (right[lo:h] - src[:, -1])
 
 
 def outgoing_trace(field: KineticField) -> DiscreteDistribution:
     """What leaves through x_max: the last cell's xi > 0 slice, the xi < 0 half zeroed."""
     vgrid = field.velocity
-    return DiscreteDistribution(vgrid, np.where(vgrid.positive, field.values[-1], 0.0))
+    h = vgrid.half
+    values = np.zeros(vgrid.n_cells)
+    values[h:] = field.values[-1, h:]
+    return DiscreteDistribution(vgrid, values)
 
 
 def l1_field_distance(a: KineticField, b: KineticField) -> float:

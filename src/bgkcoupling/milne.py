@@ -112,7 +112,7 @@ class LayerData:
     def __post_init__(self):
         grid = self.incoming.grid
         check_admissible(self.incoming.values, grid)
-        if np.any(self.incoming.values[~grid.positive] != 0.0):
+        if self.incoming.values[: grid.half].any():
             raise ValueError("incoming profile must be zero on the xi < 0 half-range")
         max_flux = 0.5 * grid.half_width**2
         if not -1e-12 <= self.flux <= max_flux + 1e-12:    # NaN fails it too
@@ -493,9 +493,10 @@ def relaxation_layer_profile(data: LayerData, grid: LayerGrid) -> LayerProfile:
 def back_flux(profile: LayerProfile) -> DiscreteDistribution:
     """Boundary slice on the returning half-range: F(0, xi) for xi < 0, zero elsewhere."""
     vgrid = profile.velocity
-    return DiscreteDistribution(
-        vgrid, np.where(vgrid.positive, 0.0, profile.values[0])
-    )
+    h = vgrid.half
+    values = np.zeros(vgrid.n_cells)
+    values[:h] = profile.values[0, :h]
+    return DiscreteDistribution(vgrid, values)
 
 
 def confinement_norm(profile: LayerProfile) -> float:

@@ -50,14 +50,16 @@ class VelocityGrid:
     n_cells must be even so that xi = 0 is a cell edge; cells never straddle
     the sign change, which the moment and entropy formulas rely on.  The
     velocity half-ranges are therefore contiguous: columns [:half] hold the
-    cells with xi < 0 and columns [half:] those with xi > 0, so kernels read
-    each half as a slice (a view) rather than through the positive mask.
+    cells with xi < 0 and columns [half:] those with xi > 0, so the kernels
+    and the coupled step read each half as a slice (a view) rather than
+    through the positive mask, which is built once and is read-only.
     """
 
     half_width: float
     n_cells: int
     edges: np.ndarray = field(init=False, repr=False, compare=False)
     centers: np.ndarray = field(init=False, repr=False, compare=False)
+    positive: np.ndarray = field(init=False, repr=False, compare=False)    # read-only mask of the xi > 0 cells
 
     def __post_init__(self):
         # NaN fails it too; a product, since a float's ** raises on overflow
@@ -68,8 +70,12 @@ class VelocityGrid:
         edges = np.linspace(-self.half_width, self.half_width, self.n_cells + 1)
         # force the middle edge to exactly zero
         edges[self.n_cells // 2] = 0.0
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        positive = centers > 0
+        positive.flags.writeable = False
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "centers", 0.5 * (edges[:-1] + edges[1:]))
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "positive", positive)
 
     @property
     def dxi(self) -> float:
@@ -79,11 +85,6 @@ class VelocityGrid:
     def half(self) -> int:
         """Column of the first xi > 0 cell; the middle edge xi = 0 sits before it."""
         return self.n_cells // 2
-
-    @property
-    def positive(self) -> np.ndarray:
-        """Boolean mask of cells with xi > 0."""
-        return self.centers > 0
 
 
 def _same_grid(a: VelocityGrid, b: VelocityGrid) -> bool:
@@ -116,8 +117,9 @@ class DiscreteDistribution:
 
 
 def check_admissible(values: np.ndarray, grid: VelocityGrid, tol: float = 1e-12) -> None:
-    """Raise unless 0 <= sign(xi) * f <= 1 up to tol, cellwise."""
-    check_signed_admissible(np.where(grid.positive, values, -values), tol)
+    """Raise unless 0 <= sign(xi) * f <= 1 up to tol, cellwise; values is (..., n_xi)."""
+    h = grid.half
+    check_signed_admissible(np.concatenate((np.negative(values[..., :h]), values[..., h:]), axis=-1), tol)
 
 
 def check_signed_admissible(signed: np.ndarray, tol: float = 1e-12) -> None:

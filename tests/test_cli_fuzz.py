@@ -63,6 +63,9 @@ def _nonfinite_cells(path: Path, skip: set[str]) -> list[str]:
 @example(command="stability", key="half_width", value=1e300)
 @example(command="layer", key="half_width", value=10**400)    # an int no float can hold
 @example(command="coupled", key="half_width", value=10**400)
+@example(command="epsilon-sweep", key="layer_y_max", value=1e-300)    # the study's y windows need 3e302 cells
+@example(command="epsilon-sweep", key="layer_y_max", value=1e-320)    # their cell count overflows to inf
+@example(command="epsilon-sweep", key="layer_y_max", value=5e-324)    # dy rounds to zero
 def test_one_bad_value_never_escapes(command, key, value):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"

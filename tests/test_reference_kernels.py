@@ -5,8 +5,11 @@ as contiguous column blocks, and the kinetic step runs velocity-major on the
 band of rows its data reach.  The references below are the same arithmetic
 written with the positive mask, np.where and full-array neighbour copies.
 The fluid step, one Godunov call over all its faces, is checked against
-its three-call form.  Every comparison is bitwise: same dtype, same shape, same
-bytes (so a signed zero counts too).
+its three-call form, and the closed-form Godunov flux against its
+case-by-case np.where form.  The half-range helpers of the coupled step
+(outgoing trace, returning slice, negative flux, admissibility check) are
+checked against their positive-mask forms.  Every comparison is bitwise:
+same dtype, same shape, same bytes (so a signed zero counts too).
 """
 
 from contextlib import suppress
@@ -34,8 +37,8 @@ from bgkcoupling import (
     stable_dt,
     step,
 )
-from bgkcoupling import fluid, kinetic, milne
-from bgkcoupling.errors import SOLVER_ERRORS
+from bgkcoupling import coupling, fluid, kinetic, milne, velocity
+from bgkcoupling.errors import SOLVER_ERRORS, AdmissibilityError
 from bgkcoupling.experiments import (
     ScenarioConfig,
     build_coupled_initial,
@@ -135,11 +138,23 @@ def ref_step(field, bc, stiffness, dt):
     return transported + w[:, None] * (eq - transported)
 
 
+def ref_godunov_flux(u_left, u_right):
+    """Exact-Riemann flux of u^2/2, case by case: a rarefaction takes the least
+    flux over [u_left, u_right] (zero across a sonic fan), a shock the larger."""
+    ul = np.asarray(u_left, dtype=float)
+    ur = np.asarray(u_right, dtype=float)
+    fl = 0.5 * ul**2
+    fr = 0.5 * ur**2
+    rarefaction = np.where((ul <= 0.0) & (ur >= 0.0), 0.0, np.minimum(fl, fr))
+    out = np.where(ul <= ur, rarefaction, np.maximum(fl, fr))
+    return float(out) if out.ndim == 0 else out
+
+
 def ref_fluid_step(field, left_flux, dt):
     """Godunov step in three calls: the given left flux, the interior faces, the right ghost."""
     u = field.values
-    interior = fluid.godunov_flux(u[:-1], u[1:])
-    right_flux = fluid.godunov_flux(u[-1], u[-1])
+    interior = ref_godunov_flux(u[:-1], u[1:])
+    right_flux = ref_godunov_flux(u[-1], u[-1])
     fluxes = np.concatenate(([left_flux], interior, [right_flux]))
     return u - (dt / field.grid.dx) * np.diff(fluxes)
 
@@ -664,7 +679,7 @@ def test_fluid_steps_match_the_three_call_reference_bitwise(n_cells, seed):
     rng = np.random.default_rng(seed)
     field, dt = fluid_case(n_cells, rng)
     for v in (0.0, -0.0, 0.5, float(rng.uniform(0.0, 1.0))):
-        left_flux = fluid.godunov_flux(v, field.values[0])
+        left_flux = ref_godunov_flux(v, field.values[0])
         assert_bitwise_equal(fluid.fluid_step(field, v, dt).values, ref_fluid_step(field, left_flux, dt))
     for boundary_flux in (0.0, -0.0, -0.125, float(rng.uniform(0.0, 0.5))):
         assert_bitwise_equal(
@@ -688,3 +703,128 @@ def test_one_godunov_flux_call_per_fluid_step(mode, monkeypatch):
     state, _ = run_coupled(build_coupled_initial(config), dt, 5, coupling_params_of(config), mode=mode)
     assert len(state.trace_log) == 5
     assert calls == [(config.fluid_grid().n_cells + (mode == "limit"),)] * 5
+
+
+TINY = np.finfo(float).smallest_subnormal
+HUGE = np.finfo(float).max
+# signed zeros, sonic and equal pairs (every value meets itself), subnormals,
+# squares that underflow or overflow, infinities and NaNs of both signs
+SPECIAL = np.array([
+    0.0, -0.0, 0.5, -0.5, 1.0, -1.0, TINY, -TINY, 3 * TINY, 1e-160, -1e-160, 1e-200, -1e-200,
+    1.5e154, -1.5e154, 1e300, -1e300, HUGE, -HUGE, np.inf, -np.inf, np.nan, -np.nan,
+])
+
+
+def assert_same_bits(actual, expected):
+    """Bitwise, NaN payloads included."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def test_godunov_flux_matches_the_case_form_bitwise_on_special_values():
+    left, right = (a.ravel() for a in np.meshgrid(SPECIAL, SPECIAL, indexing="ij"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_bits(fluid.godunov_flux(left, right), ref_godunov_flux(left, right))
+        for ul, ur in zip(left, right):
+            flux = fluid.godunov_flux(float(ul), float(ur))
+            assert type(flux) is float
+            assert_same_bits(np.float64(flux), np.float64(ref_godunov_flux(float(ul), float(ur))))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-3, 1.0, 1e150])
+def test_godunov_flux_matches_the_case_form_bitwise_on_random_pairs(scale):
+    rng = np.random.default_rng(int(-np.log10(scale)) + 200)
+    left = rng.uniform(-1.0, 1.0, 100_000) * scale
+    right = rng.uniform(-1.0, 1.0, 100_000) * scale
+    right[::7] = left[::7]                        # equal states
+    right[1::7] = -left[1::7]                     # symmetric pairs, sonic ones among them
+    with np.errstate(over="ignore"):
+        assert_same_bits(fluid.godunov_flux(left, right), ref_godunov_flux(left, right))
+
+
+# -- the half-range slices of the coupled step -------------------------------
+
+def ref_outgoing_trace(field):
+    vgrid = field.velocity
+    return np.where(vgrid.positive, field.values[-1], 0.0)
+
+
+def ref_back_flux(profile):
+    vgrid = profile.velocity
+    return np.where(vgrid.positive, 0.0, profile.values[0])
+
+
+def ref_negative_flux(values, grid):
+    neg = ~grid.positive
+    return grid.dxi * float(np.dot(grid.centers[neg], values[neg]))
+
+
+def ref_admissibility_error(values, grid):
+    """check_admissible's error text through the positive mask, or None when it passes."""
+    try:
+        velocity.check_signed_admissible(np.where(grid.positive, values, -values))
+    except AdmissibilityError as exc:
+        return str(exc)
+    return None
+
+
+def admissibility_error(values, grid):
+    try:
+        velocity.check_admissible(values, grid)
+    except AdmissibilityError as exc:
+        return str(exc)
+    return None
+
+
+def signed_zero_rows(shape, rng):
+    """Random entries of both signs with +0.0 and -0.0 sprinkled in."""
+    values = rng.uniform(-1.0, 1.0, shape)
+    values[rng.random(shape) < 0.2] = 0.0
+    values[rng.random(shape) < 0.2] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.half_width}x{g.n_cells}")
+def test_half_range_helpers_match_the_mask_forms_bitwise(grid):
+    rng = np.random.default_rng(grid.n_cells + 7)
+    space = SpaceGrid(-1.0, 0.0, 5)
+    for _ in range(20):
+        field = KineticField(space, grid, signed_zero_rows((space.n_cells, grid.n_cells), rng))
+        assert_bitwise_equal(kinetic.outgoing_trace(field).values, ref_outgoing_trace(field))
+        profile = milne.LayerProfile(
+            LayerGrid(1.0, 3), grid, signed_zero_rows((4, grid.n_cells), rng), milne.LayerClass.SHOCK, -0.5
+        )
+        returning = milne.back_flux(profile).values
+        assert_bitwise_equal(returning, ref_back_flux(profile))
+        for values in (returning, field.values[0]):
+            got, want = coupling._negative_flux(values, grid), ref_negative_flux(values, grid)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_positive_mask_is_built_once_and_read_only():
+    grid = VelocityGrid(1.0, 8)
+    assert grid.positive is grid.positive
+    assert not grid.positive.flags.writeable
+    assert_bitwise_equal(grid.positive, grid.centers > 0)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.half_width}x{g.n_cells}")
+def test_admissibility_errors_match_the_mask_form(grid):
+    rng = np.random.default_rng(grid.n_cells + 11)
+    h = grid.half
+    # admissible: sign(xi) f in [0, 1], one row per space cell, signed zeros included
+    field = rng.uniform(0.0, 1.0, (6, grid.n_cells))
+    field[:, :h] *= -1.0
+    field[rng.random(field.shape) < 0.2] = -0.0
+    cases = [field, field[0]]
+    for j, f in ((0, -1.5), (h - 1, 0.25)):          # a xi < 0 column above 1, and one of the wrong sign
+        broken = field.copy()
+        broken[:, j] = f
+        cases += [broken, broken[3]]
+    broken = field.copy()
+    broken[2, h] = -0.5                                  # one xi > 0 cell of the wrong sign
+    cases += [broken, broken[2]]
+    for values in cases:
+        assert admissibility_error(values, grid) == ref_admissibility_error(values, grid)
+    assert admissibility_error(field, grid) is None
+    assert admissibility_error(cases[2], grid) is not None
