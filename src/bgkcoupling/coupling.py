@@ -255,7 +255,8 @@ def _exchange(
     """Shared tail of both couplings: the kinetic step, then the new state with record logged.
 
     record.back_flux_values is the kinetic right-edge inflow as it is; the
-    step only reads it, so the log and the inflow share one array.  layer
+    step only reads it (the kernel copies an inflow it takes), so the log
+    keeps the array itself.  layer
     and previous are the new state's layer and previous_layer_values.  A
     KineticField gets its kernel set up here, with every kinetic check.
     """

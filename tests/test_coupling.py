@@ -34,6 +34,7 @@ from bgkcoupling.experiments import (
     scenario_dt,
 )
 from bgkcoupling.milne import TOL_FIX
+from test_kinetic import count_transports
 from test_milne import plain_sweep_reference
 from bgkcoupling.velocity import maxwellian_table
 
@@ -201,6 +202,67 @@ def test_one_kinetic_kernel_set_up_per_march(mode, monkeypatch):
     # a plain step sets up a kernel of its own
     coupled_step(final, dt, coupling_params_of(config)) if mode == "limit" else naive_coupled_step(final, dt)
     assert set_ups == [0.0, final.kinetic.time]
+
+
+@pytest.mark.parametrize(
+    "scenario, u_plus, static",
+    [
+        ("equilibrium", 0.6, True),
+        ("relaxation", 0.6, True),
+        ("steady_shock", 0.6, True),
+        # off a velocity-cell edge the state drifts (ROADMAP item 1), so no step repeats
+        ("equilibrium", 0.61, False),
+    ],
+)
+def test_static_coupled_march_is_a_loop_of_single_steps(scenario, u_plus, static, monkeypatch):
+    config = small_config(scenario=scenario, u_plus=u_plus)
+    dt, _ = scenario_dt(config)
+    params = coupling_params_of(config)
+    n_steps = 30
+    loop = [build_coupled_initial(config)]
+    for _ in range(n_steps):
+        loop.append(coupled_step(loop[-1], dt, params))
+    calls = count_transports(monkeypatch)
+    final, snapshots = run_coupled(build_coupled_initial(config), dt, n_steps, params, log_every=1)
+    assert len(calls) < n_steps if static else len(calls) == n_steps
+    assert len(snapshots) == len(loop)
+    for snap, expected in zip(snapshots, loop):
+        assert snap.time == expected.kinetic.time
+        assert snap.kinetic_values.tobytes() == expected.kinetic.values.tobytes()
+        assert snap.fluid_values.tobytes() == expected.fluid.values.tobytes()
+    assert final.kinetic.time == loop[-1].kinetic.time
+    assert final.kinetic.values.tobytes() == loop[-1].kinetic.values.tobytes()
+    assert list(map(record_bits, final.trace_log)) == list(map(record_bits, loop[-1].trace_log))
+
+
+def record_bits(record) -> list:
+    """Every field of an InterfaceRecord, arrays as bytes and the rest by repr (so -0.0 is not 0.0)."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in vars(record).values()]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the free far closure accepts a warm start from a "
+    "relaxation-class profile as a shock-class fixed point",
+)
+def test_shock_steps_after_relaxation_steps_return_the_shock_structure():
+    # The relaxation scenario with the fluid at -0.7 beyond its first cell:
+    # steps 15-39 are shock class.  Today each of them stops after 1 sweep
+    # with an all-zero returning slice and interface_defect up to 0.065, and
+    # the final layer's far node density is +0.6 while u_infinity is -0.7.
+    config = ScenarioConfig(scenario="relaxation")
+    state = build_coupled_initial(config)
+    state.fluid.values[1:] = -0.7
+    dt, _ = scenario_dt(config)
+    final, _ = run_coupled(state, dt, 40, coupling_params_of(config))
+    shock_steps = [r for r in final.trace_log if r.layer_class == "shock"]
+    layer = final.layer
+    assert shock_steps and layer.classification is LayerClass.SHOCK
+    # the paper's shock-class layer: the far state at u_infinity, and a
+    # returning slice that is not zero
+    assert abs(layer.velocity.dxi * layer.values[-1].sum() - layer.u_infinity) <= 1e-6
+    for r in shock_steps:
+        assert np.any(r.back_flux_values != 0.0)
 
 
 def test_warm_start_matches_cold_start(monkeypatch):

@@ -413,6 +413,175 @@ def test_march_peak_holds_only_the_two_field_buffers():
     assert peak < 3 * fld.values.nbytes
 
 
+def count_transports(monkeypatch) -> list:
+    """Record each _upwind call, one per step a march computes rather than skips."""
+    calls = []
+    upwind = kinetic._upwind
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        upwind(*args)
+
+    monkeypatch.setattr(kinetic, "_upwind", counted)
+    return calls
+
+
+def edge_equilibrium_march(u0=0.6):
+    """M(u0) everywhere, fed M(u0) from the left and zero from the right."""
+    row = maxwellian_values(u0, VG)
+    fld = KineticField(SG, VG, np.tile(row, (SG.n_cells, 1)))
+    return fld, np.where(VG.positive, row, 0.0), StiffnessProfile.uniform(SG, 1.0), stable_dt(SG, VG)
+
+
+def step_loop(fld, left, stiffness, dt, rights) -> list:
+    """The fields of a loop of step calls, one per right inflow, the start field first."""
+    fields = [fld]
+    for right in rights:
+        fields.append(step(fields[-1], InflowBoundary(left=left, right=right), stiffness, dt))
+    return fields
+
+
+def assert_march_follows(march, loop, rights):
+    """Advance march once per right inflow; after each step it must equal loop's field bit for bit."""
+    for right, expected in zip(rights, loop[1:]):
+        march.advance(right)
+        assert march.values.tobytes() == expected.values.tobytes()
+        assert march.time == expected.time
+
+
+def test_march_stops_computing_at_a_bitwise_fixed_point(monkeypatch):
+    # M(0.6) sits on a velocity-cell edge: the first step changes some bits,
+    # and from the second on no step changes any
+    n_steps = 30
+    fld, left, stiffness, dt = edge_equilibrium_march(0.6)
+    loop = step_loop(fld, left, stiffness, dt, [None] * n_steps)
+    unchanged = [b.values.tobytes() == a.values.tobytes() for a, b in zip(loop, loop[1:])]
+    first_fixed = unchanged.index(True) + 1
+    assert all(unchanged[first_fixed - 1 :])
+    calls = count_transports(monkeypatch)
+    snapshot_times = dt * np.arange(n_steps + 1)
+    hist = run_with_history(fld, InflowBoundary(left=left), stiffness, dt, n_steps, snapshot_times)
+    # the fixed point shows once a step repeats the one before it: at step
+    # first_fixed, or at the latest one step later
+    assert first_fixed <= len(calls) <= first_fixed + 1 < n_steps
+    for r, expected in zip(snapshot_times, loop):
+        assert hist.snapshots[r].tobytes() == expected.values.tobytes()
+    assert hist.final.values.tobytes() == loop[-1].values.tobytes()
+    assert hist.final.time == loop[-1].time
+
+
+@pytest.mark.parametrize("change", ["one ulp", "signed zero", "refilled in place"])
+def test_static_march_resumes_on_a_new_read_half(change, monkeypatch):
+    fld, left, stiffness, dt = edge_equilibrium_march(0.6)
+    zero = np.zeros(VG.n_cells)
+    j = VG.half - 3
+    if change == "refilled in place":
+        # the caller hands in one array and writes the next inflow into it
+        buffer = zero.copy()
+        rights = [buffer] * 14
+        expected_rights = [zero] * 8 + [np.where(np.arange(VG.n_cells) == j, -0.25, 0.0)] * 6
+    else:
+        new = zero.copy()
+        new[j] = -np.nextafter(0.0, 1.0) if change == "one ulp" else -0.0
+        rights = expected_rights = [zero] * 8 + [new] * 6
+    loop = step_loop(fld, left, stiffness, dt, expected_rights)
+    calls = count_transports(monkeypatch)
+    march = kinetic._March(fld, InflowBoundary(left=left, right=rights[0]), stiffness, dt)
+    assert_march_follows(march, loop[:9], rights[:8])
+    static_calls = len(calls)
+    assert static_calls < 8
+    if change == "refilled in place":
+        buffer[j] = -0.25
+    assert_march_follows(march, loop[8:], rights[8:])
+    assert len(calls) > static_calls
+
+
+def test_a_change_to_the_unread_half_keeps_the_march_static(monkeypatch):
+    # the xi > 0 half of a right inflow is never read, so it is never
+    # checked either, and changing it changes no step
+    fld, left, stiffness, dt = edge_equilibrium_march(0.6)
+    zero = np.zeros(VG.n_cells)
+    unread = np.where(VG.positive, 2.0, 0.0)
+    unread[VG.half + 1] = np.nan
+    rights = [zero] * 8 + [unread] * 6
+    loop = step_loop(fld, left, stiffness, dt, rights)
+    calls = count_transports(monkeypatch)
+    march = kinetic._March(fld, InflowBoundary(left=left), stiffness, dt)
+    assert_march_follows(march, loop[:9], rights[:8])
+    static_calls = len(calls)
+    assert static_calls < 8
+    assert_march_follows(march, loop[8:], rights[8:])
+    assert len(calls) == static_calls
+
+
+def test_march_keeps_relaxing_a_field_that_transport_leaves_unchanged(monkeypatch):
+    # at dt 1e-20 the transport of a uniform field rounds away at the edges,
+    # and the densities of steps 1 and 2 match bit for bit, but the stiff
+    # relaxation (w about 0.095) still moves every step
+    row = np.where(VG.positive, 0.5, 0.0)
+    fld = KineticField(SG, VG, np.tile(row, (SG.n_cells, 1)))
+    stiffness, dt, n_steps = StiffnessProfile.uniform(SG, 1e19), 1e-20, 12
+    loop = step_loop(fld, row, stiffness, dt, [None] * n_steps)
+    assert loop[1].densities().tobytes() == loop[2].densities().tobytes()
+    calls = count_transports(monkeypatch)
+    hist = run_with_history(fld, InflowBoundary(left=row), stiffness, dt, n_steps)
+    assert len(calls) == n_steps
+    assert hist.final.values.tobytes() == loop[-1].values.tobytes()
+
+
+def test_march_keeps_transporting_a_pulse_the_densities_do_not_see(monkeypatch):
+    # a 1e-20 pulse rides on a row of 0.5, so every density rounds to the
+    # same bits while the pulse moves; without relaxation nothing else changes
+    values = np.zeros((SG.n_cells, VG.n_cells))
+    values[:, VG.half + 2] = 0.5
+    values[3, VG.half + 5] = 1e-20
+    fld = KineticField(SG, VG, values)
+    left = np.where(np.arange(VG.n_cells) == VG.half + 2, 0.5, 0.0)
+    stiffness, dt, n_steps = StiffnessProfile.uniform(SG, 0.0), stable_dt(SG, VG), 12
+    loop = step_loop(fld, left, stiffness, dt, [None] * n_steps)
+    assert len({f.densities().tobytes() for f in loop}) == 1
+    calls = count_transports(monkeypatch)
+    hist = run_with_history(fld, InflowBoundary(left=left), stiffness, dt, n_steps)
+    assert len(calls) == n_steps
+    assert hist.final.values.tobytes() == loop[-1].values.tobytes()
+
+
+@pytest.mark.parametrize("start", ["off-edge M(0.61)", "random"])
+def test_a_moving_march_computes_every_step(start, monkeypatch):
+    n_steps = 30
+    if start == "random":
+        fld = random_field(np.random.default_rng(4))
+        left, stiffness, dt = np.where(VG.positive, 0.3, 0.0), StiffnessProfile.uniform(SG, 1.0), stable_dt(SG, VG)
+    else:
+        fld, left, stiffness, dt = edge_equilibrium_march(0.61)
+    loop = step_loop(fld, left, stiffness, dt, [None] * n_steps)
+    calls = count_transports(monkeypatch)
+    hist = run_with_history(fld, InflowBoundary(left=left), stiffness, dt, n_steps)
+    assert len(calls) == n_steps
+    assert hist.final.values.tobytes() == loop[-1].values.tobytes()
+
+
+def test_nan_inflow_after_a_static_stretch_raises_as_step_does(monkeypatch):
+    fld, left, stiffness, dt = edge_equilibrium_march(0.6)
+    zero = np.zeros(VG.n_cells)
+    bad = zero.copy()
+    bad[2] = np.nan
+    with pytest.raises(AdmissibilityError) as expected:
+        step(fld, InflowBoundary(left=left, right=bad), stiffness, dt)
+    calls = count_transports(monkeypatch)
+    march = kinetic._March(fld, InflowBoundary(left=left), stiffness, dt)
+    for _ in range(8):
+        march.advance(zero)
+    assert len(calls) < 8
+    kept, time = march.values.tobytes(), march.time
+    # a rejected inflow is not taken, so handing it in again raises again
+    for _ in range(2):
+        with pytest.raises(AdmissibilityError) as caught:
+            march.advance(bad)
+        assert str(caught.value) == str(expected.value)
+    assert (march.values.tobytes(), march.time) == (kept, time)
+
+
 def test_duhamel_oracle_equilibrium_exact():
     u0 = 0.6
     row = maxwellian_values(u0, VG)

@@ -5,6 +5,7 @@ can differ between numpy versions.  The tests check that two runs agree and
 that the digest sees what it claims to cover.
 """
 
+import argparse
 import dataclasses
 import importlib.util
 import re
@@ -67,3 +68,15 @@ def test_digest_sees_a_signed_zero_a_record_field_and_the_deferred_layer():
     profile = state.layer._profile
     assert isinstance(profile, milne.LayerProfile)
     assert tool.digest(dataclasses.replace(state, layer=profile)) == base
+
+
+def test_two_cli_digests_agree():
+    # one command, the quickest to run twice; --cli digests all six the same way
+    tool = load_tool()
+    first, second = tool.digest_cli("coupled"), tool.digest_cli("coupled")
+    assert first == second
+    assert re.fullmatch(r"[0-9a-f]{64}", first)
+    from bgkcoupling.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert tool.CLI_COMMANDS == tuple(commands.choices)
